@@ -14,17 +14,16 @@ import argparse
 import csv
 import sys
 
+from root_pruning import update_root_pruning
 from streamcpd import (
     Direction,
     FamilySpec,
     Scenario,
-    attach_bounds,
-    check,
     generate,
     new_state,
     q_full,
+    step_states,
     update,
-    update_root_pruning,
 )
 
 
@@ -61,9 +60,7 @@ def main() -> int:
         q_full(st_root, fam)
         update(st_mean, g)
         q_full(st_mean, fam)
-        update(st_adap, g)
-        attach_bounds(st_adap, fam)
-        check(st_adap, fam, args.threshold)
+        step_states([st_adap], fam, g, args.threshold)
         after = [snap(st_root), snap(st_mean), snap(st_adap)]
         row = [i + 1]
         for b, a in zip(before, after):

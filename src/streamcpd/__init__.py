@@ -5,52 +5,31 @@ adaptive maxima checking: amortized constant cost per observation.
 """
 
 from .bench import (
-    CalibrationResult,
-    CounterProfile,
-    DelayRow,
     DelayRun,
     calibrate_threshold,
     counter_profile,
     delay_experiment,
     first_detection,
     mean_delay,
-    run_length,
-    stat_running_max,
 )
-from .counters import CounterSet
-from .detector import Detection, Detector, DetectorConfig, StepResult, new_detector
+from .detector import Detection, Detector, DetectorConfig, StepResult, step_states
 from .errors import (
     CalibrationError,
     DegenerateSegmentError,
     InsufficientDataError,
-    MeanRangeError,
     ParamDomainError,
     StreamCpdError,
     SupportError,
 )
-from .families import Direction, FamilyKind, FamilySpec, SuffStat, default_probe_grid
-from .maxima import CheckOutcome, attach_bounds, check, m_between
-from .oracle import OracleResult, grid_q, naive_q
-from .pruning import (
-    CurveRecord,
-    PruneState,
-    new_state,
-    q_full,
-    segments,
-    update,
-    update_root_pruning,
-)
+from .families import Direction, FamilyKind, FamilySpec
+from .maxima import attach_bounds, check
+from .oracle import grid_q, naive_q
+from .pruning import new_state, q_full, update
 from .simulate import Scenario, generate
 
 __all__ = [
     "CalibrationError",
-    "CalibrationResult",
-    "CheckOutcome",
-    "CounterProfile",
-    "CounterSet",
-    "CurveRecord",
     "DegenerateSegmentError",
-    "DelayRow",
     "DelayRun",
     "Detection",
     "Detector",
@@ -59,33 +38,23 @@ __all__ = [
     "FamilyKind",
     "FamilySpec",
     "InsufficientDataError",
-    "MeanRangeError",
-    "OracleResult",
     "ParamDomainError",
-    "PruneState",
     "Scenario",
     "StepResult",
     "StreamCpdError",
-    "SuffStat",
     "SupportError",
     "attach_bounds",
     "calibrate_threshold",
     "check",
     "counter_profile",
-    "default_probe_grid",
     "delay_experiment",
     "first_detection",
     "generate",
     "grid_q",
-    "m_between",
     "mean_delay",
     "naive_q",
-    "new_detector",
     "new_state",
     "q_full",
-    "run_length",
-    "segments",
-    "stat_running_max",
+    "step_states",
     "update",
-    "update_root_pruning",
 ]

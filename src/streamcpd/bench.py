@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .counters import CounterSet
-from .detector import DetectorConfig, _DIRECTIONS
+from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from .families import FamilySpec
-from .maxima import attach_bounds, check
-from .pruning import new_state, q_full, update
+from .pruning import q_full, update
 from .simulate import Scenario, generate
 
 
@@ -27,26 +26,14 @@ def _child_seed(seed: int, rep: int) -> int:
     return (seed << 20) + rep
 
 
-def _fresh_states(config: DetectorConfig):
-    return [new_state(d, config.theta0, config.spec) for d in _DIRECTIONS[config.direction]]
-
-
 def first_detection(config: DetectorConfig, data: np.ndarray) -> int | None:
     """First time (1-based) the detector fires on ``data``, or None."""
     spec = config.spec
     g_arr = spec.suff_arr(np.asarray(data, dtype=float))
-    states = _fresh_states(config)
-    thr = config.threshold
-    known = config.theta0 is not None
+    states = Detector(config).states
     for i in range(len(g_arr)):
-        gi = g_arr[i]
-        for st in states:
-            update(st, gi)
-            attach_bounds(st, spec)
-        if known or i >= 1:
-            for st in states:
-                if check(st, spec, thr).changed:
-                    return i + 1
+        if step_states(states, spec, g_arr[i], config.threshold)[0] is not None:
+            return i + 1
     return None
 
 
@@ -63,7 +50,7 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     """
     spec = config.spec
     g_arr = spec.suff_arr(np.asarray(data, dtype=float))
-    states = _fresh_states(config)
+    states = Detector(config).states
     out = np.empty(len(g_arr))
     run = 0.0
     for i in range(len(g_arr)):
@@ -258,33 +245,23 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
         raise ValueError("mode must be 'adaptive' or 'full'")
     spec = config.spec
     g_arr = spec.suff_arr(generate(scenario))
-    states = _fresh_states(config)
+    states = Detector(config).states
     n = len(g_arr)
     stored = np.zeros(n, dtype=np.int64)
     evaluated = np.zeros(n, dtype=np.int64)
     merges = np.zeros(n, dtype=np.int64)
     transcend = np.zeros(n, dtype=np.int64)
     detections: list[int] = []
+    thr = config.threshold if mode == "adaptive" else None
     known = config.theta0 is not None
     for i in range(n):
-        gi = g_arr[i]
         m0 = sum(st.counters.merges for st in states)
         e0 = sum(st.counters.curves_evaluated_sum for st in states)
         t0 = sum(st.counters.transcendental_calls for st in states)
-        hit = False
-        for st in states:
-            update(st, gi)
-            attach_bounds(st, spec)
-        if known or i >= 1:
-            if mode == "adaptive":
-                for st in states:
-                    if check(st, spec, config.threshold).changed:
-                        hit = True
-            else:
-                for st in states:
-                    q, _ = q_full(st, spec)
-                    if 2.0 * q >= config.threshold:
-                        hit = True
+        hit = step_states(states, spec, g_arr[i], thr)[0] is not None
+        if thr is None and (known or i >= 1):
+            # a list, not a generator: every direction is evaluated
+            hit = any([2.0 * q_full(st, spec)[0] >= config.threshold for st in states])
         if hit:
             detections.append(i + 1)
         stored[i] = sum(len(st.records) for st in states)

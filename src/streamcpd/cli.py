@@ -9,6 +9,7 @@ of stream, 1 I/O error, 2 malformed input or bad value (line reported),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import (
@@ -21,7 +22,7 @@ from .bench import (
     write_delay_csv,
 )
 from .detector import Detector, DetectorConfig
-from .errors import CalibrationError, StreamCpdError, SupportError
+from .errors import CalibrationError, StreamCpdError
 from .families import FamilyKind, FamilySpec
 from .simulate import Scenario, generate
 
@@ -29,7 +30,8 @@ _FAMILY_CHOICES = [k.value for k in FamilyKind]
 
 
 def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
+    # +inf as 1e999: valid JSON, read back as infinity by JSON parsers and float()
+    return "1e999" if v == math.inf else format(float(v), ".17g")
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
@@ -46,24 +48,10 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_spec(args, parser: argparse.ArgumentParser) -> FamilySpec:
-    fam = args.family
-    if fam == FamilyKind.BINOMIAL.value:
-        if args.trials is None:
-            parser.error("--trials is required with --family binomial")
-        if args.shape is not None:
-            parser.error("--shape is only valid with --family gamma")
-        return FamilySpec.binomial(args.trials)
-    if fam == FamilyKind.GAMMA.value:
-        if args.shape is None:
-            parser.error("--shape is required with --family gamma")
-        if args.trials is not None:
-            parser.error("--trials is only valid with --family binomial")
-        return FamilySpec.gamma(args.shape)
-    if args.trials is not None:
-        parser.error("--trials is only valid with --family binomial")
-    if args.shape is not None:
-        parser.error("--shape is only valid with --family gamma")
-    return FamilySpec(FamilyKind(fam))
+    try:
+        return FamilySpec(FamilyKind(args.family), trials=args.trials, shape=args.shape)
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def _parse_theta0(raw: str, parser: argparse.ArgumentParser) -> float | None:
@@ -118,10 +106,7 @@ def _event_line(t: int, curves: int, evaluated: int, stat, detection) -> str:
 
 def run_detect(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser, stop_on_detect=not args.no_stop)
-    try:
-        detector = Detector(config)
-    except (ValueError, StreamCpdError) as e:
-        parser.error(str(e))
+    detector = Detector(config)
     try:
         fin = _open_in(args.input)
     except OSError as e:
@@ -144,7 +129,7 @@ def run_detect(args, parser: argparse.ArgumentParser) -> int:
                 return 2
             try:
                 res = detector.step(x)
-            except SupportError as e:
+            except StreamCpdError as e:
                 print(f"error: line {lineno}: {e}", file=sys.stderr)
                 return 2
             print(
@@ -234,7 +219,7 @@ def run_simulate(args, parser: argparse.ArgumentParser) -> int:
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return 1
-    integral = scenario.spec.kind in (FamilyKind.POISSON, FamilyKind.BINOMIAL)
+    integral = scenario.spec.integral
     for v in stream:
         print(str(int(v)) if integral else _fmt17(v), file=fout)
     if fout is not sys.stdout:

@@ -18,11 +18,3 @@ class CounterSet:
     transcendental_calls: int = 0
     steps: int = 0
 
-    def merges_per_step(self) -> float:
-        return self.merges / self.steps if self.steps else 0.0
-
-    def stored_per_step(self) -> float:
-        return self.curves_stored_sum / self.steps if self.steps else 0.0
-
-    def evaluated_per_step(self) -> float:
-        return self.curves_evaluated_sum / self.steps if self.steps else 0.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError, SupportError
-from .families import Direction, FamilySpec, default_probe_grid
+from .families import Direction, FamilySpec
 from .maxima import attach_bounds, check
 from .pruning import PruneState, new_state, q_full, update
 
@@ -48,6 +48,33 @@ class Detection:
     direction_hit: Direction
 
 
+def step_states(
+    states: list[PruneState], spec: FamilySpec, g: float, threshold: float | None
+) -> tuple[Detection | None, int]:
+    """Absorb one sufficient statistic into every direction state.
+
+    Runs `update` and `attach_bounds` on each state, then `check` on each
+    when ``threshold`` is given and the statistic is defined.  Returns the
+    strongest detection (None without one) and the number of curves the
+    checks evaluated.  All states must have seen the same observations.
+    """
+    for st in states:
+        update(st, g)
+        attach_bounds(st, spec)
+    detection = None
+    evals = 0
+    first = states[0]
+    # with the pre-change parameter unknown the statistic needs at least
+    # one point on each side of a split, so T < 2 can never detect
+    if threshold is not None and (first.theta0 is not None or first.total_count >= 2):
+        for st in states:
+            out = check(st, spec, threshold)
+            evals += out.curves_evaluated
+            if out.changed and (detection is None or out.stat > detection.stat):
+                detection = Detection(st.total_count, out.tau_low, out.stat, st.direction)
+    return detection, evals
+
+
 @dataclass(frozen=True)
 class StepResult:
     t: int
@@ -66,16 +93,8 @@ class Detector:
 
     def __init__(self, config: DetectorConfig):
         self.config = config
-        spec = config.spec
-        if config.theta0 is not None:
-            grid = default_probe_grid(spec, config.theta0)
-            if not spec.validate_monotone(config.theta0, grid):
-                raise ValueError(
-                    "the pruning comparator's monotonicity requirement fails "
-                    f"for theta0={config.theta0!r}; check the parametrization"
-                )
         self.states: list[PruneState] = [
-            new_state(d, config.theta0, spec) for d in _DIRECTIONS[config.direction]
+            new_state(d, config.theta0, config.spec) for d in _DIRECTIONS[config.direction]
         ]
         self._t = 0
 
@@ -92,24 +111,7 @@ class Detector:
         except SupportError as e:
             raise SupportError(f"stream position {self._t + 1}: {e}") from e
         self._t += 1
-        detection = None
-        evals = 0
-        for st in self.states:
-            update(st, g)
-            attach_bounds(st, spec)
-        # with the pre-change parameter unknown the statistic needs at least
-        # one point on each side of a split, so T < 2 can never detect
-        if cfg.theta0 is not None or self._t >= 2:
-            for st in self.states:
-                out = check(st, spec, cfg.threshold)
-                evals += out.curves_evaluated
-                if out.changed and (detection is None or out.stat > detection.stat):
-                    detection = Detection(
-                        t_detect=self._t,
-                        tau_low=out.tau_low,
-                        stat=out.stat,
-                        direction_hit=st.direction,
-                    )
+        detection, evals = step_states(self.states, spec, g, cfg.threshold)
         stat = None
         if cfg.stat_every and self._t % cfg.stat_every == 0 and self._stat_defined():
             stat = self.statistic()
@@ -131,7 +133,3 @@ class Detector:
             need = 1 if self.config.theta0 is not None else 2
             raise InsufficientDataError(f"statistic undefined before {need} observations")
         return 2.0 * max(q_full(st, self.config.spec)[0] for st in self.states)
-
-
-def new_detector(config: DetectorConfig) -> Detector:
-    return Detector(config)

@@ -9,12 +9,18 @@ Conventions fixed here:
 * ``gauss_var`` is parametrized by the **variance** (not the standard
   deviation): a(theta) = -1/(2 theta), b(theta) = log(theta)/2, so the mean
   map mu(theta) = b'/a' is the identity and matches the x^2 statistic.
+  An observation of exactly zero is outside its support: it carries infinite
+  evidence for a smaller variance and would make a segment degenerate.
 * ``gauss_mean`` uses b(theta) = theta^2 / 2, making f the exact unit-variance
   normal density.  Pruning and likelihood-ratio values are invariant under a
   joint rescaling of (a, b), so this choice is cosmetic.
 * Boundary conventions: 0 * log 0 = 0 for the Poisson and Binomial conjugates;
   Gamma and gauss_var reject non-positive means with an explicit error because
   a zero mean of a positive statistic means degenerate data.
+
+Every family is one row of ``_FAMILIES``: a builder that takes the family's
+extra parameter (binomial trials, gamma shape) and returns its closed forms,
+which `FamilySpec` binds once at construction.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import stats
+from scipy.special import gammaincinv, ndtri
 
 from .errors import (
     DegenerateSegmentError,
@@ -68,13 +76,199 @@ class SuffStat(NamedTuple):
         return self.sum_g / self.count
 
 
+class _Forms(NamedTuple):
+    """Closed forms of one family with its extra parameter bound.
+
+    ``alpha``/``beta_fn``/``mean_suff`` assume theta in the domain; ``suff``
+    validates support; ``inverse_cdf(theta, u)`` maps uniforms to
+    observations.
+    """
+
+    param_domain: tuple[float, float]
+    transcendental_cost: int  # log calls per curve or conjugate evaluation
+    integral: bool  # observations are integers
+    alpha: Callable[[float], float]
+    beta_fn: Callable[[float], float]
+    mean_suff: Callable[[float], float]
+    suff: Callable[[float], float]
+    conjugate: Callable[[float], float]
+    conjugate_arr: Callable[[np.ndarray], np.ndarray]
+    inverse_cdf: Callable[[float, np.ndarray], np.ndarray]
+
+
+def _gauss_mean(_) -> _Forms:
+    def suff(x):
+        if not math.isfinite(x):
+            raise SupportError(f"non-finite observation {x!r}")
+        return x
+
+    return _Forms(
+        (-_INF, _INF), 0, False,
+        alpha=lambda t: t,
+        beta_fn=lambda t: t * t / 2.0,
+        mean_suff=lambda t: t,
+        suff=suff,
+        conjugate=lambda g: g * g / 2.0,
+        conjugate_arr=lambda g: g * g / 2.0,
+        inverse_cdf=lambda t, u: t + ndtri(u),
+    )
+
+
+def _gauss_var(_) -> _Forms:
+    def suff(x):
+        if not math.isfinite(x):
+            raise SupportError(f"non-finite observation {x!r}")
+        if x == 0:
+            raise SupportError("gauss-var observation must be non-zero, got 0")
+        return x * x
+
+    def conjugate(gbar):
+        if not gbar > 0:
+            raise DegenerateSegmentError(
+                f"segment mean {gbar!r} is not positive; degenerate for gauss-var"
+            )
+        return -0.5 * (1.0 + math.log(gbar))
+
+    def conjugate_arr(g):
+        if np.any(g <= 0):
+            raise DegenerateSegmentError("non-positive mean for gauss-var")
+        return -0.5 * (1.0 + np.log(g))
+
+    return _Forms(
+        (0.0, _INF), 1, False,
+        alpha=lambda t: -1.0 / (2.0 * t),
+        beta_fn=lambda t: 0.5 * math.log(t),
+        mean_suff=lambda t: t,
+        suff=suff,
+        conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
+        inverse_cdf=lambda t, u: np.sqrt(t) * ndtri(u),
+    )
+
+
+def _poisson(_) -> _Forms:
+    def suff(x):
+        if not math.isfinite(x) or x < 0 or x != math.floor(x):
+            raise SupportError(f"Poisson observation must be a non-negative integer, got {x!r}")
+        return x
+
+    def conjugate(gbar):
+        if gbar < 0:
+            raise MeanRangeError(f"gbar={gbar!r} negative for poisson")
+        if gbar == 0.0:
+            return 0.0
+        return gbar * math.log(gbar) - gbar
+
+    def conjugate_arr(g):
+        if np.any(g < 0):
+            raise MeanRangeError("negative mean for poisson")
+        safe = np.where(g > 0, g, 1.0)
+        return np.where(g > 0, g * np.log(safe) - g, 0.0)
+
+    return _Forms(
+        (0.0, _INF), 1, True,
+        alpha=math.log,
+        beta_fn=lambda t: t,
+        mean_suff=lambda t: t,
+        suff=suff,
+        conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
+        inverse_cdf=lambda t, u: stats.poisson.ppf(u, t),
+    )
+
+
+def _binomial(n) -> _Forms:
+    if n is None or n < 1:
+        raise ValueError("binomial family requires trials >= 1")
+
+    def suff(x):
+        if not math.isfinite(x) or x < 0 or x > n or x != math.floor(x):
+            raise SupportError(f"Binomial observation must be an integer in [0, {n}], got {x!r}")
+        return x
+
+    def conjugate(gbar):
+        if gbar < 0 or gbar > n:
+            raise MeanRangeError(f"gbar={gbar!r} outside [0, {n}]")
+        if gbar == 0.0 or gbar == n:
+            return 0.0
+        return gbar * math.log(gbar / (n - gbar)) + n * math.log((n - gbar) / n)
+
+    def conjugate_arr(g):
+        if np.any((g < 0) | (g > n)):
+            raise MeanRangeError(f"mean outside [0, {n}] for binomial")
+        inner = (g > 0) & (g < n)
+        gs = np.where(inner, g, 0.5 * n)
+        val = gs * np.log(gs / (n - gs)) + n * np.log((n - gs) / n)
+        return np.where(inner, val, 0.0)
+
+    return _Forms(
+        (0.0, 1.0), 2, True,
+        alpha=lambda t: math.log(t / (1.0 - t)),
+        beta_fn=lambda t: -n * math.log(1.0 - t),
+        mean_suff=lambda t: n * t,
+        suff=suff,
+        conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
+        inverse_cdf=lambda t, u: stats.binom.ppf(u, n, t),
+    )
+
+
+def _gamma(kk) -> _Forms:
+    if kk is None or not kk > 0:
+        raise ValueError("gamma family requires shape > 0")
+
+    def suff(x):
+        if not (x > 0) or not math.isfinite(x):
+            raise SupportError(f"Gamma observation must be positive, got {x!r}")
+        return x
+
+    def conjugate(gbar):
+        if not gbar > 0:
+            raise DegenerateSegmentError(
+                f"segment mean {gbar!r} is not positive; degenerate for gamma"
+            )
+        return -kk - kk * math.log(gbar / kk)
+
+    def conjugate_arr(g):
+        if np.any(g <= 0):
+            raise DegenerateSegmentError("non-positive mean for gamma")
+        return -kk - kk * np.log(g / kk)
+
+    return _Forms(
+        (0.0, _INF), 1, False,
+        alpha=lambda t: -1.0 / t,
+        beta_fn=lambda t: kk * math.log(t),
+        mean_suff=lambda t: kk * t,
+        suff=suff,
+        conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
+        inverse_cdf=lambda t, u: t * gammaincinv(kk, u),  # scale parametrization
+    )
+
+
+# kind -> (name of the extra parameter or None, builder taking its value)
+_FAMILIES = {
+    FamilyKind.GAUSS_MEAN: (None, _gauss_mean),
+    FamilyKind.GAUSS_VAR: (None, _gauss_var),
+    FamilyKind.POISSON: (None, _poisson),
+    FamilyKind.BINOMIAL: ("trials", _binomial),
+    FamilyKind.GAMMA: ("shape", _gamma),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A concrete one-parameter exponential family.
 
     ``trials`` is the per-observation trial count (binomial only) and
     ``shape`` the fixed shape parameter (gamma only); both are None
-    elsewhere.  ``param_domain`` is the open interval of admissible theta.
+    elsewhere.  Construction binds the family's forms as attributes:
+    ``param_domain`` (the open interval of admissible theta),
+    ``transcendental_cost`` (log calls per curve or conjugate evaluation, a
+    portable cost proxy), ``integral`` (observations are integers), ``suff``
+    (g(x), validating data support), ``conjugate`` (per-observation maximized
+    log-likelihood A(g) = sup_theta [a(theta) g - b(theta)]) and
+    ``inverse_cdf(theta, u)`` (the generator's quantile map).
     """
 
     kind: FamilyKind
@@ -82,18 +276,18 @@ class FamilySpec:
     shape: float | None = None
 
     def __post_init__(self):
-        if self.kind is FamilyKind.BINOMIAL:
-            if self.trials is None or self.trials < 1:
-                raise ValueError("binomial family requires trials >= 1")
-            if self.shape is not None:
-                raise ValueError("shape is a gamma-only parameter")
-        elif self.kind is FamilyKind.GAMMA:
-            if self.shape is None or not self.shape > 0:
-                raise ValueError("gamma family requires shape > 0")
-            if self.trials is not None:
-                raise ValueError("trials is a binomial-only parameter")
-        elif self.trials is not None or self.shape is not None:
-            raise ValueError(f"{self.kind.value} takes no extra parameters")
+        extra, build = _FAMILIES[self.kind]
+        for name in ("trials", "shape"):
+            if name != extra and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind.value} family takes no {name} parameter")
+        forms = build(getattr(self, extra) if extra else None)
+        object.__setattr__(self, "_forms", forms)
+        for name in ("param_domain", "transcendental_cost", "integral", "suff", "conjugate",
+                     "inverse_cdf"):
+            object.__setattr__(self, name, getattr(forms, name))
+
+    def __reduce__(self):
+        return (FamilySpec, (self.kind, self.trials, self.shape))
 
     # -- constructors -------------------------------------------------
 
@@ -119,14 +313,6 @@ class FamilySpec:
 
     # -- parameter domain ---------------------------------------------
 
-    @property
-    def param_domain(self) -> tuple[float, float]:
-        if self.kind is FamilyKind.GAUSS_MEAN:
-            return (-_INF, _INF)
-        if self.kind is FamilyKind.BINOMIAL:
-            return (0.0, 1.0)
-        return (0.0, _INF)
-
     def in_domain(self, theta: float) -> bool:
         lo, hi = self.param_domain
         return lo < theta < hi and math.isfinite(theta)
@@ -144,144 +330,26 @@ class FamilySpec:
     def alpha(self, theta: float) -> float:
         """Natural-parameter map a(theta)."""
         self._require_domain(theta)
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return theta
-        if k is FamilyKind.GAUSS_VAR:
-            return -1.0 / (2.0 * theta)
-        if k is FamilyKind.POISSON:
-            return math.log(theta)
-        if k is FamilyKind.BINOMIAL:
-            return math.log(theta / (1.0 - theta))
-        return -1.0 / theta  # gamma
+        return self._forms.alpha(theta)
 
     def beta_fn(self, theta: float) -> float:
         """Log-normalizer b(theta), normalized so f is a proper density."""
         self._require_domain(theta)
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return theta * theta / 2.0
-        if k is FamilyKind.GAUSS_VAR:
-            return 0.5 * math.log(theta)
-        if k is FamilyKind.POISSON:
-            return theta
-        if k is FamilyKind.BINOMIAL:
-            return -self.trials * math.log(1.0 - theta)
-        return self.shape * math.log(theta)  # gamma
-
-    def suff(self, x: float) -> float:
-        """Sufficient statistic g(x); validates data support."""
-        k = self.kind
-        if k is FamilyKind.GAUSS_VAR:
-            if not math.isfinite(x):
-                raise SupportError(f"non-finite observation {x!r}")
-            return x * x
-        if k is FamilyKind.GAUSS_MEAN:
-            if not math.isfinite(x):
-                raise SupportError(f"non-finite observation {x!r}")
-            return x
-        if k is FamilyKind.POISSON:
-            if x < 0 or x != math.floor(x) or not math.isfinite(x):
-                raise SupportError(f"Poisson observation must be a non-negative integer, got {x!r}")
-            return x
-        if k is FamilyKind.BINOMIAL:
-            if x < 0 or x > self.trials or x != math.floor(x) or not math.isfinite(x):
-                raise SupportError(
-                    f"Binomial observation must be an integer in [0, {self.trials}], got {x!r}"
-                )
-            return x
-        # gamma
-        if not (x > 0) or not math.isfinite(x):
-            raise SupportError(f"Gamma observation must be positive, got {x!r}")
-        return x
+        return self._forms.beta_fn(theta)
 
     def mean_suff(self, theta: float) -> float:
         """Mean map mu(theta) = b'(theta) / a'(theta); strictly increasing."""
         self._require_domain(theta)
-        k = self.kind
-        if k is FamilyKind.BINOMIAL:
-            return self.trials * theta
-        if k is FamilyKind.GAMMA:
-            return self.shape * theta
-        return theta  # gauss_mean, gauss_var, poisson
+        return self._forms.mean_suff(theta)
 
-    def alpha_prime(self, theta: float) -> float:
-        self._require_domain(theta)
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return 1.0
-        if k is FamilyKind.GAUSS_VAR:
-            return 1.0 / (2.0 * theta * theta)
-        if k is FamilyKind.POISSON:
-            return 1.0 / theta
-        if k is FamilyKind.BINOMIAL:
-            return 1.0 / (theta * (1.0 - theta))
-        return 1.0 / (theta * theta)  # gamma
+    def suff_arr(self, x: np.ndarray) -> np.ndarray:
+        """`suff` over an array, with the same support validation."""
+        suff = self.suff
+        return np.array([suff(v) for v in np.asarray(x, dtype=float).tolist()], dtype=float)
 
-    def beta_prime(self, theta: float) -> float:
-        self._require_domain(theta)
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return theta
-        if k is FamilyKind.GAUSS_VAR:
-            return 0.5 / theta
-        if k is FamilyKind.POISSON:
-            return 1.0
-        if k is FamilyKind.BINOMIAL:
-            return self.trials / (1.0 - theta)
-        return self.shape / theta  # gamma
-
-    @property
-    def transcendental_cost(self) -> int:
-        """log calls per curve or conjugate evaluation (portable cost proxy)."""
-        if self.kind is FamilyKind.GAUSS_MEAN:
-            return 0
-        if self.kind is FamilyKind.BINOMIAL:
-            return 2
-        return 1
-
-    def mle(self, gbar: float) -> float:
-        """Inverse of the mean map.  Boundary means map to domain boundaries."""
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return gbar
-        if k is FamilyKind.BINOMIAL:
-            if gbar < 0 or gbar > self.trials:
-                raise MeanRangeError(f"gbar={gbar!r} outside [0, {self.trials}]")
-            return gbar / self.trials
-        if gbar < 0:
-            raise MeanRangeError(f"gbar={gbar!r} outside [0, inf) for {k.value}")
-        if k is FamilyKind.GAMMA:
-            return gbar / self.shape
-        return gbar  # gauss_var, poisson
-
-    def conjugate(self, gbar: float) -> float:
-        """Per-observation maximized log-likelihood A(g) = sup_theta [a(theta) g - b(theta)]."""
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return gbar * gbar / 2.0
-        if k is FamilyKind.POISSON:
-            if gbar < 0:
-                raise MeanRangeError(f"gbar={gbar!r} negative for poisson")
-            if gbar == 0.0:
-                return 0.0
-            return gbar * math.log(gbar) - gbar
-        if k is FamilyKind.BINOMIAL:
-            n = self.trials
-            if gbar < 0 or gbar > n:
-                raise MeanRangeError(f"gbar={gbar!r} outside [0, {n}]")
-            if gbar == 0.0 or gbar == n:
-                return 0.0
-            return gbar * math.log(gbar / (n - gbar)) + n * math.log((n - gbar) / n)
-        # gamma and gauss_var need strictly positive means
-        if not gbar > 0:
-            raise DegenerateSegmentError(
-                f"segment mean {gbar!r} is not positive; degenerate for {k.value}"
-            )
-        if k is FamilyKind.GAUSS_VAR:
-            return -0.5 * (1.0 + math.log(gbar))
-        kk = self.shape
-        return -kk - kk * math.log(gbar / kk)  # gamma
+    def conjugate_arr(self, g: np.ndarray) -> np.ndarray:
+        """Elementwise A(g) on an array, same boundary conventions as `conjugate`."""
+        return self._forms.conjugate_arr(np.asarray(g, dtype=float))
 
     # -- directional segment likelihood ratio -------------------------
 
@@ -309,84 +377,3 @@ class FamilySpec:
             return 0.0
         m = count * (self.conjugate(gbar) - (alpha0 * gbar - beta0))
         return m if m > 0.0 else 0.0  # the gap is a divergence; clip rounding noise
-
-    def validate_monotone(self, theta0: float, probe_grid: Sequence[float]) -> bool:
-        """True iff t -> (b(t)-b(t0)) / (a(t)-a(t0)) strictly increases on the grid.
-
-        Diagnostic startup check for the mean-comparison pruning rule; the grid
-        must be sorted, inside the domain, and exclude theta0.
-        """
-        self._require_domain(theta0)
-        a0 = self.alpha(theta0)
-        b0 = self.beta_fn(theta0)
-        prev = -_INF
-        for t in probe_grid:
-            ratio = (self.beta_fn(t) - b0) / (self.alpha(t) - a0)
-            if ratio <= prev:
-                return False
-            prev = ratio
-        return True
-
-    def suff_arr(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized `suff` with the same support validation."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise SupportError("non-finite observation in stream")
-        k = self.kind
-        if k is FamilyKind.GAUSS_VAR:
-            return x * x
-        if k is FamilyKind.GAUSS_MEAN:
-            return x
-        if k is FamilyKind.POISSON:
-            if np.any((x < 0) | (x != np.floor(x))):
-                raise SupportError("Poisson observations must be non-negative integers")
-            return x
-        if k is FamilyKind.BINOMIAL:
-            if np.any((x < 0) | (x > self.trials) | (x != np.floor(x))):
-                raise SupportError(f"Binomial observations must be integers in [0, {self.trials}]")
-            return x
-        if np.any(x <= 0):
-            raise SupportError("Gamma observations must be positive")
-        return x
-
-    # -- vectorized conjugate (oracle and grid search support) --------
-
-    def conjugate_arr(self, g: np.ndarray) -> np.ndarray:
-        """Elementwise A(g) on an array, same boundary conventions as `conjugate`."""
-        g = np.asarray(g, dtype=float)
-        k = self.kind
-        if k is FamilyKind.GAUSS_MEAN:
-            return g * g / 2.0
-        if k is FamilyKind.POISSON:
-            if np.any(g < 0):
-                raise MeanRangeError("negative mean for poisson")
-            safe = np.where(g > 0, g, 1.0)
-            return np.where(g > 0, g * np.log(safe) - g, 0.0)
-        if k is FamilyKind.BINOMIAL:
-            n = self.trials
-            if np.any((g < 0) | (g > n)):
-                raise MeanRangeError(f"mean outside [0, {n}] for binomial")
-            inner = (g > 0) & (g < n)
-            gs = np.where(inner, g, 0.5 * n)
-            val = gs * np.log(gs / (n - gs)) + n * np.log((n - gs) / n)
-            return np.where(inner, val, 0.0)
-        if np.any(g <= 0):
-            raise DegenerateSegmentError(f"non-positive mean for {k.value}")
-        if k is FamilyKind.GAUSS_VAR:
-            return -0.5 * (1.0 + np.log(g))
-        kk = self.shape
-        return -kk - kk * np.log(g / kk)
-
-
-def default_probe_grid(spec: FamilySpec, theta0: float) -> list[float]:
-    """A small sorted grid around theta0 for `validate_monotone`."""
-    kind = spec.kind
-    if kind is FamilyKind.GAUSS_MEAN:
-        offsets = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-        grid = [theta0 + o for o in offsets]
-    elif kind is FamilyKind.BINOMIAL:
-        grid = [theta0 * f for f in (0.25, 0.5, 0.8)]
-        grid += [theta0 + (1.0 - theta0) * f for f in (0.2, 0.5, 0.75)]
-    else:
-        grid = [theta0 * f for f in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)]
-    return sorted(t for t in grid if spec.in_domain(t) and t != theta0)

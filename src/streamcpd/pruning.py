@@ -16,13 +16,11 @@ sufficient statistic (no roots, no transcendentals):
 Merging only ever removes curves that are dominated on the relevant
 parameter half-line, so the maximum over retained candidates equals the
 maximum over all candidates; tests enforce this against the exhaustive
-oracle.  An alternate update that compares numerically-found roots instead
-of means is provided for cost benchmarking only.
+oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .counters import CounterSet
@@ -38,14 +36,12 @@ class CurveRecord:
 
     ``cum_sum`` snapshots the running sum of g(x) over the first ``tau``
     observations (the prefix count equals ``tau`` itself).  ``m_bound`` is
-    the accumulated prefix bound used by the adaptive maxima check, and
-    ``root`` is scratch space for the root-comparison update variant.
+    the accumulated prefix bound used by the adaptive maxima check.
     """
 
     tau: int
     cum_sum: float
     m_bound: float = 0.0
-    root: float = _NAN
 
 
 @dataclass(slots=True)
@@ -203,202 +199,3 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
         c.transcendental_calls += (2 * len(recs) + 1) * spec.transcendental_cost
     c.curves_evaluated_sum += len(recs)
     return best, best_tau
-
-
-# ------------------------------------------------------------------
-# Root-comparison update (benchmark alternative)
-# ------------------------------------------------------------------
-
-
-def _curve_root(
-    spec: FamilySpec,
-    theta0: float,
-    alpha0: float,
-    beta0: float,
-    g0: float,
-    seg_sum: float,
-    seg_n: int,
-    sign: int,
-    tol: float,
-    counters: CounterSet,
-) -> float:
-    """Root of the segment curve on the monitored side of theta0.
-
-    Solves (a(t) - a(t0)) * S - (b(t) - b(t0)) * n = 0 for t != t0 by
-    safeguarded Newton iteration with a bisection fallback, to |C| <= tol.
-    Returns theta0 itself when the segment mean is at or behind the null
-    mean (no root past the boundary), and +/-inf when the curve stays
-    positive all the way to the domain edge.
-    """
-    gbar = seg_sum / seg_n
-    if (gbar - g0) * sign <= 0:
-        return theta0
-    cost = spec.transcendental_cost
-
-    def C(t: float) -> float:
-        counters.transcendental_calls += cost
-        return (spec.alpha(t) - alpha0) * seg_sum - (spec.beta_fn(t) - beta0) * seg_n
-
-    def Cp(t: float) -> float:
-        return spec.alpha_prime(t) * seg_sum - spec.beta_prime(t) * seg_n
-
-    lo_dom, hi_dom = spec.param_domain
-    # bracket [a, b] with C(a) > 0 >= C(b), expanding away from theta0
-    a = theta0
-    if sign > 0:
-        if math.isinf(hi_dom):
-            step = max(abs(theta0), 1.0)
-            b = theta0 + step
-            for _ in range(200):
-                if C(b) <= 0:
-                    break
-                a = b
-                step *= 2.0
-                b = theta0 + step
-            else:
-                return math.inf
-        else:
-            b = 0.5 * (theta0 + hi_dom)
-            for _ in range(80):
-                if b >= hi_dom or b == a:
-                    return hi_dom  # positive all the way to the domain edge
-                if C(b) <= 0:
-                    break
-                a = b
-                b = 0.5 * (b + hi_dom)
-            else:
-                return hi_dom
-    else:
-        if math.isinf(lo_dom):
-            step = max(abs(theta0), 1.0)
-            b = theta0 - step
-            for _ in range(200):
-                if C(b) <= 0:
-                    break
-                a = b
-                step *= 2.0
-                b = theta0 - step
-            else:
-                return -math.inf
-        else:
-            b = 0.5 * (theta0 + lo_dom)
-            for _ in range(80):
-                if b <= lo_dom or b == a:
-                    return lo_dom  # positive all the way to the domain edge
-                if C(b) <= 0:
-                    break
-                a = b
-                b = 0.5 * (b + lo_dom)
-            else:
-                return lo_dom
-
-    # a is on the positive side, b on the non-positive side
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        fx = C(x)
-        if abs(fx) <= tol:
-            return x
-        if fx > 0:
-            a = x
-        else:
-            b = x
-        if abs(b - a) <= 1e-15 * max(1.0, abs(x)):
-            return x
-        d = Cp(x)
-        if d != 0.0:
-            xn = x - fx / d
-            if min(a, b) < xn < max(a, b):
-                x = xn
-                continue
-        x = 0.5 * (a + b)
-    return x
-
-
-def update_root_pruning(
-    state: PruneState, g: float, spec: FamilySpec, theta0: float, tolerance: float
-) -> PruneState:
-    """Update variant that orders curves by numerically-found roots.
-
-    Retains exactly the same candidate sets as `update` (property-tested);
-    exists to measure the cost of Newton root comparisons against the
-    mean comparisons.  Known pre-change parameter only.  A state must be
-    driven by one update flavour exclusively.
-    """
-    if state.theta0 is None:
-        raise ValueError("root pruning requires a known pre-change parameter")
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    c = state.counters
-    c.steps += 1
-    recs = state.records
-    recs.append(CurveRecord(state.total_count, state.total_sum))
-    state.total_count += 1
-    state.total_sum += g
-    T = state.total_count
-    St = state.total_sum
-    sign = state.sign
-    a0, b0, g0 = state.alpha0, state.beta0, state.g0
-
-    suf_root = _curve_root(
-        spec, theta0, a0, b0, g0, St - recs[-1].cum_sum, T - recs[-1].tau, sign, tolerance, c
-    )
-    while len(recs) >= 2:
-        prev = recs[-2]
-        if (suf_root - prev.root) * sign > 0:
-            break
-        recs.pop()
-        c.merges += 1
-        last = recs[-1]
-        suf_root = _curve_root(
-            spec, theta0, a0, b0, g0, St - last.cum_sum, T - last.tau, sign, tolerance, c
-        )
-
-    if len(recs) == 1 and (suf_root - theta0) * sign <= 0:
-        recs.pop()
-        c.merges += 1
-        state.base_count = T
-        state.base_sum = St
-    elif recs:
-        recs[-1].root = suf_root
-
-    c.curves_stored_sum += len(recs)
-    return state
-
-
-# ------------------------------------------------------------------
-# Test support
-# ------------------------------------------------------------------
-
-
-def check_invariants(state: PruneState, rel: float = 1e-9) -> None:
-    """Assert the structural invariants; test helper, not a hot-path call."""
-    recs = state.records
-    sign = state.sign
-    taus = [r.tau for r in recs]
-    assert taus == sorted(set(taus)), "candidate times must be strictly increasing"
-    if recs:
-        assert state.base_count == recs[0].tau
-        assert state.base_sum == recs[0].cum_sum
-    else:
-        assert state.base_count == state.total_count
-        assert state.base_sum == state.total_sum
-
-    means = []
-    for i, r in enumerate(recs):
-        if i + 1 < len(recs):
-            nxt = recs[i + 1]
-            means.append((nxt.cum_sum - r.cum_sum) / (nxt.tau - r.tau))
-        else:
-            means.append((state.total_sum - r.cum_sum) / (state.total_count - r.tau))
-    for a, b in zip(means, means[1:]):
-        assert (b - a) * sign > 0, f"segment means not strictly monotone: {means}"
-    if state.theta0 is not None:
-        for m in means:
-            assert (m - state.g0) * sign > 0, f"segment mean {m} behind null mean {state.g0}"
-
-    if recs:
-        total = state.base_sum + sum(
-            (recs[i + 1].cum_sum if i + 1 < len(recs) else state.total_sum) - r.cum_sum
-            for i, r in enumerate(recs)
-        )
-        assert math.isclose(total, state.total_sum, rel_tol=rel, abs_tol=1e-12), "telescoping broken"

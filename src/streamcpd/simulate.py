@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaincinv, ndtri
 
-from .families import FamilyKind, FamilySpec
+from .families import FamilySpec
 
 _TWO53 = float(2**53)
 
@@ -48,26 +46,12 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(1, 2**53, size=n).astype(float) / _TWO53
 
 
-def _inverse_cdf(spec: FamilySpec, theta: float, u: np.ndarray) -> np.ndarray:
-    k = spec.kind
-    if k is FamilyKind.GAUSS_MEAN:
-        return theta + ndtri(u)
-    if k is FamilyKind.GAUSS_VAR:
-        return np.sqrt(theta) * ndtri(u)
-    if k is FamilyKind.POISSON:
-        return stats.poisson.ppf(u, theta)
-    if k is FamilyKind.BINOMIAL:
-        return stats.binom.ppf(u, spec.trials, theta)
-    return theta * gammaincinv(spec.shape, u)  # gamma, scale parametrization
-
-
 def generate(scenario: Scenario) -> np.ndarray:
     """Deterministic stream for the scenario; same seed, same bits."""
     rng = np.random.Generator(np.random.PCG64(scenario.seed))
     u = _open_uniforms(rng, scenario.length)
+    inv = scenario.spec.inverse_cdf
     if scenario.change_at == 0:
-        return _inverse_cdf(scenario.spec, scenario.theta_pre, u)
+        return inv(scenario.theta_pre, u)
     cut = scenario.change_at
-    pre = _inverse_cdf(scenario.spec, scenario.theta_pre, u[:cut])
-    post = _inverse_cdf(scenario.spec, scenario.theta_post, u[cut:])
-    return np.concatenate([pre, post])
+    return np.concatenate([inv(scenario.theta_pre, u[:cut]), inv(scenario.theta_post, u[cut:])])

@@ -23,9 +23,9 @@ from streamcpd import (
     mean_delay,
     new_state,
     q_full,
-    run_length,
     update,
 )
+from streamcpd.bench import run_length
 from streamcpd.oracle import naive_q_path
 from streamcpd.maxima import attach_bounds, check
 from streamcpd.pruning import m_unknown_raw

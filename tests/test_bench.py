@@ -15,10 +15,8 @@ from streamcpd import (
     delay_experiment,
     first_detection,
     mean_delay,
-    run_length,
-    stat_running_max,
 )
-from streamcpd.bench import write_counter_csv, write_delay_csv
+from streamcpd.bench import run_length, stat_running_max, write_counter_csv, write_delay_csv
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()

@@ -1,6 +1,7 @@
 """Command-line surface: flags, NDJSON events, exit codes, CSV output."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -35,6 +36,8 @@ def test_detect_valid_flags(tmp_path, capsys):
     ["detect", "--family", "poisson", "--theta0", "1", "--threshold", "5", "--shape", "2"],
     ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "5", "--trials", "3"],
     ["detect", "--family", "binomial", "--theta0", "0.5", "--threshold", "5"],
+    ["detect", "--family", "binomial", "--trials", "0", "--theta0", "0.5", "--threshold", "5"],
+    ["detect", "--family", "gamma", "--shape", "-1", "--theta0", "1", "--threshold", "5"],
     ["detect", "--family", "gauss-mean", "--theta0", "zero", "--threshold", "5"],
     ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "-1"],
 ])
@@ -103,6 +106,55 @@ def test_detect_support_violation_exits_2(tmp_path, capsys):
          "--input", str(p)], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("flags, text", [
+    # an exact zero is outside the gauss-var support
+    (["--family", "gauss-var", "--theta0", "1", "--direction", "down"], "1\n0\n"),
+    # x^2 lost to prefix-sum cancellation leaves a degenerate segment
+    (["--family", "gauss-var", "--theta0", "1", "--direction", "both"], "1e10\n1e-10\n"),
+    (["--family", "gauss-var", "--theta0", "unknown", "--direction", "both"], "1e10\n1e-10\n"),
+    (["--family", "poisson", "--theta0", "1"], "1\ninf\n"),
+    (["--family", "binomial", "--trials", "2", "--theta0", "0.5"], "1\nnan\n"),
+])
+def test_detect_rejected_value_exits_2(tmp_path, capsys, flags, text):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    code, out, err = run_cli(
+        ["detect", *flags, "--threshold", "20", "--no-stop", "--input", str(p)], capsys)
+    assert code == 2
+    assert "line 2" in err
+    assert len(out.splitlines()) == 1
+
+
+def _strict_json(line):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_detect_infinite_stat_is_valid_json(tmp_path, capsys):
+    p = tmp_path / "in.txt"
+    p.write_text("1e308\n-1e308\n")
+    code, out, _ = run_cli(
+        ["detect", "--family", "gauss-mean", "--theta0", "unknown", "--threshold", "20",
+         "--stat-every", "1", "--no-stop", "--input", str(p)], capsys)
+    assert code == 0
+    assert '"stat": 1e999' in out
+    events = [_strict_json(line) for line in out.splitlines()]
+    assert events[-1]["stat"] == math.inf
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--family", "gauss-mean", "--theta0", "1e9"], "1000000000\n1000000000.5\n"),
+    (["--family", "binomial", "--trials", "1", "--theta0", "1e-17"], "0\n0\n"),
+])
+def test_detect_accepts_extreme_valid_theta0(tmp_path, capsys, flags, text):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    code, out, _ = run_cli(["detect", *flags, "--threshold", "20", "--input", str(p)], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 2
 
 
 def test_detect_skips_blanks_and_comments(tmp_path, capsys):

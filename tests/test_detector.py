@@ -1,5 +1,7 @@
 """End-to-end detector behaviour against the oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from streamcpd import (
     FamilySpec,
     InsufficientDataError,
     SupportError,
-    new_detector,
 )
 from streamcpd.oracle import naive_q_path
 
@@ -28,14 +29,14 @@ def cfg(spec=GM, theta0=0.0, threshold=8.0, direction="both", **kw):
 # ------------------------------------------------------------------
 
 
-def test_new_detector_both_creates_two_states():
-    d = new_detector(cfg(threshold=20.0))
+def test_detector_both_creates_two_states():
+    d = Detector(cfg(threshold=20.0))
     assert len(d.states) == 2
     assert {s.direction for s in d.states} == {Direction.UP, Direction.DOWN}
 
 
-def test_new_detector_single_direction():
-    d = new_detector(cfg(PO, None, 15.0, "up"))
+def test_detector_single_direction():
+    d = Detector(cfg(PO, None, 15.0, "up"))
     assert len(d.states) == 1
 
 
@@ -57,14 +58,14 @@ def test_config_rejects_bad_values():
 
 def test_step_detects_when_statistic_crosses():
     # 2Q after one observation x=3 is 9, so threshold 8 fires immediately
-    d = new_detector(cfg(threshold=8.0))
+    d = Detector(cfg(threshold=8.0))
     r = d.step(3.0)
     assert r.detection is not None
     assert r.detection == r.detection.__class__(1, 0, 9.0, Direction.UP)
 
 
 def test_step_detects_at_second_point_with_higher_threshold():
-    d = new_detector(cfg(threshold=10.0))
+    d = Detector(cfg(threshold=10.0))
     assert d.step(3.0).detection is None
     r = d.step(3.0)
     assert r.detection is not None
@@ -75,14 +76,14 @@ def test_step_detects_at_second_point_with_higher_threshold():
 
 
 def test_unknown_never_detects_before_two_points():
-    d = new_detector(DetectorConfig(PO, None, 1e-6, "up"))
+    d = Detector(DetectorConfig(PO, None, 1e-6, "up"))
     assert d.step(50.0).detection is None  # no pre-change data yet
     with pytest.raises(InsufficientDataError):
         d.statistic()
 
 
 def test_support_error_reports_position():
-    d = new_detector(cfg(PO, 1.0, 10.0, "up"))
+    d = Detector(cfg(PO, 1.0, 10.0, "up"))
     d.step(1.0)
     with pytest.raises(SupportError, match="position 2"):
         d.step(-3.0)
@@ -91,7 +92,7 @@ def test_support_error_reports_position():
 def test_huge_threshold_stats_match_oracle():
     rng = np.random.default_rng(7)
     data = rng.normal(0.5, 1.0, 120)
-    d = new_detector(cfg(threshold=1e9))
+    d = Detector(cfg(threshold=1e9))
     up, _ = naive_q_path(GM, 0.0, Direction.UP, data)
     dn, _ = naive_q_path(GM, 0.0, Direction.DOWN, data)
     want = 2 * np.maximum(up, dn)
@@ -106,26 +107,26 @@ def test_huge_threshold_stats_match_oracle():
 
 
 def test_statistic_examples():
-    d = new_detector(cfg(threshold=100.0, direction="up"))
+    d = Detector(cfg(threshold=100.0, direction="up"))
     d.step(1.0)
     assert d.statistic() == pytest.approx(1.0)  # single point: 2 * (1^2 / 2)
     d.step(0.5)
     assert d.statistic() == pytest.approx(1.125)
-    d2 = new_detector(cfg(threshold=100.0, direction="up"))
+    d2 = Detector(cfg(threshold=100.0, direction="up"))
     for x in (1.0, 0.5, -9.0):
         d2.step(x)
     assert d2.statistic() == 0.0  # all evidence against an up-change
 
 
 def test_stat_every_emission():
-    d = new_detector(cfg(threshold=1e9, stat_every=2))
+    d = Detector(cfg(threshold=1e9, stat_every=2))
     r1, r2, r3, r4 = (d.step(x) for x in (0.3, -0.1, 0.2, 0.4))
     assert r1.stat is None and r3.stat is None
     assert r2.stat is not None and r4.stat is not None
 
 
 def test_detector_continues_after_detection_without_reset():
-    d = new_detector(cfg(threshold=8.0, stop_on_detect=False))
+    d = Detector(cfg(threshold=8.0, stop_on_detect=False))
     first = d.step(3.0)
     assert first.detection is not None
     again = d.step(3.0)
@@ -160,7 +161,7 @@ def test_stopping_time_equals_oracle_first_crossing(spec, theta0, direction, gen
             continue
         thr = 0.6 * peak
         oracle_stop = int(np.argmax(path2q >= thr)) + 1 if (path2q >= thr).any() else None
-        d = new_detector(DetectorConfig(spec, theta0, thr, direction))
+        d = Detector(DetectorConfig(spec, theta0, thr, direction))
         stop = None
         for t, x in enumerate(data):
             if d.step(x).detection is not None:
@@ -173,7 +174,7 @@ def test_cusum_closed_form_identity():
     # known-zero gaussian up statistic == max over tau of max(S, 0)^2 / n
     rng = np.random.default_rng(23)
     data = rng.normal(0.1, 1.0, 200)
-    d = new_detector(cfg(threshold=1e9, direction="up"))
+    d = Detector(cfg(threshold=1e9, direction="up"))
     P = np.concatenate([[0.0], np.cumsum(data)])
     for t, x in enumerate(data, start=1):
         d.step(x)
@@ -188,14 +189,40 @@ def test_determinism_bitwise():
     data = rng.normal(0.2, 1.0, 300).tolist()
     outs = []
     for _ in range(2):
-        d = new_detector(cfg(threshold=12.0, stat_every=7, stop_on_detect=False))
+        d = Detector(cfg(threshold=12.0, stat_every=7, stop_on_detect=False))
         outs.append([d.step(x) for x in data])
     assert outs[0] == outs[1]
 
 
 def test_step_result_counters():
-    d = new_detector(cfg(threshold=50.0))
+    d = Detector(cfg(threshold=50.0))
     for x in (0.5, 1.0, -0.3, 0.8):
         r = d.step(x)
         assert r.curves_stored == sum(len(s.records) for s in d.states)
         assert r.curves_evaluated >= 0
+
+
+def test_rejected_value_leaves_state_unchanged():
+    d = Detector(DetectorConfig(FamilySpec.gauss_var(), 1.0, 20.0, "both"))
+    for x in (0.5, 2.0, -1.5):
+        d.step(x)
+
+    def snapshot():
+        return d.t, [(replace(st.counters), [(r.tau, r.cum_sum, r.m_bound) for r in st.records])
+                     for st in d.states]
+
+    before = snapshot()
+    with pytest.raises(SupportError):
+        d.step(0.0)
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("spec, theta0", [
+    (FamilySpec.gauss_mean(), 1e9),
+    (FamilySpec.gauss_mean(), 1e15),
+    (FamilySpec.binomial(1), 1e-17),
+    (FamilySpec.binomial(1), 1e-300),
+])
+def test_extreme_valid_theta0_constructs(spec, theta0):
+    d = Detector(DetectorConfig(spec, theta0, 20.0))
+    assert [st.direction for st in d.states] == [Direction.UP, Direction.DOWN]

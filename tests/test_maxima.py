@@ -6,15 +6,14 @@ import pytest
 from streamcpd import (
     Direction,
     FamilySpec,
-    SuffStat,
     attach_bounds,
     check,
-    m_between,
     new_state,
     q_full,
     update,
 )
-from streamcpd.families import FamilyKind
+from streamcpd.families import FamilyKind, SuffStat
+from streamcpd.maxima import m_between
 from streamcpd.pruning import m_unknown_raw
 
 GM = FamilySpec.gauss_mean()

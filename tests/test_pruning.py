@@ -1,4 +1,4 @@
-"""Pruned state machine vs the exhaustive oracle, plus the root-pruning twin."""
+"""Pruned state machine vs the exhaustive oracle."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from streamcpd import (
     Direction,
@@ -15,16 +14,48 @@ from streamcpd import (
     naive_q,
     new_state,
     q_full,
-    segments,
     update,
-    update_root_pruning,
 )
 from streamcpd.oracle import naive_q_path
-from streamcpd.pruning import check_invariants
+from streamcpd.pruning import segments
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
 PO = FamilySpec.poisson()
+
+
+def check_invariants(state, rel=1e-9):
+    """Assert the structural invariants of a pruning state."""
+    recs = state.records
+    sign = state.sign
+    taus = [r.tau for r in recs]
+    assert taus == sorted(set(taus)), "candidate times must be strictly increasing"
+    if recs:
+        assert state.base_count == recs[0].tau
+        assert state.base_sum == recs[0].cum_sum
+    else:
+        assert state.base_count == state.total_count
+        assert state.base_sum == state.total_sum
+
+    means = []
+    for i, r in enumerate(recs):
+        if i + 1 < len(recs):
+            nxt = recs[i + 1]
+            means.append((nxt.cum_sum - r.cum_sum) / (nxt.tau - r.tau))
+        else:
+            means.append((state.total_sum - r.cum_sum) / (state.total_count - r.tau))
+    for a, b in zip(means, means[1:]):
+        assert (b - a) * sign > 0, f"segment means not strictly monotone: {means}"
+    if state.theta0 is not None:
+        for m in means:
+            assert (m - state.g0) * sign > 0, f"segment mean {m} behind null mean {state.g0}"
+
+    if recs:
+        total = state.base_sum + sum(
+            (recs[i + 1].cum_sum if i + 1 < len(recs) else state.total_sum) - r.cum_sum
+            for i, r in enumerate(recs)
+        )
+        assert math.isclose(total, state.total_sum, rel_tol=rel, abs_tol=1e-12), "telescoping broken"
 
 
 def feed(state, spec, xs):
@@ -180,57 +211,3 @@ def test_variance_model_prunes_like_mean_model_on_squares():
         update(st_var, GV.suff(v))
         update(st_mean, GM.suff(v * v))
         assert [r.tau for r in st_var.records] == [r.tau for r in st_mean.records]
-
-
-# ------------------------------------------------------------------
-# root-comparison pruning (bench twin)
-# ------------------------------------------------------------------
-
-
-def test_root_pruning_gaussian_singleton_root():
-    state = new_state(Direction.UP, 0.0, GM)
-    update_root_pruning(state, 1.0, GM, 0.0, 1e-12)
-    assert state.records[-1].root == pytest.approx(2.0, abs=1e-9)
-
-
-def test_root_pruning_poisson_root_value():
-    # largest root of 4 log(t) - 2 (t - 1) = 0 besides t = 1, via an
-    # independent bracketing solve
-    want = brentq(lambda t: 4 * math.log(t) - 2 * (t - 1), 1.5, 20.0, xtol=1e-13)
-    assert want == pytest.approx(3.512862417252341, abs=1e-9)
-    state = new_state(Direction.UP, 1.0, PO)
-    update_root_pruning(state, 3.0, PO, 1.0, 1e-12)
-    update_root_pruning(state, 1.0, PO, 1.0, 1e-12)  # merges into {S=4, n=2}
-    assert len(state.records) == 1
-    assert state.records[-1].root == pytest.approx(want, abs=1e-7)
-
-
-@pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
-def test_root_pruning_identical_tau_sets(direction):
-    rng = np.random.default_rng(77)
-    data = rng.normal(0.0, 1.0, 1000)
-    st_mean = new_state(direction, 0.0, GM)
-    st_root = new_state(direction, 0.0, GM)
-    for x in data:
-        update(st_mean, GM.suff(x))
-        update_root_pruning(st_root, GM.suff(x), GM, 0.0, 1e-11)
-        assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
-
-
-def test_root_pruning_counts_transcendentals():
-    rng = np.random.default_rng(78)
-    data = rng.poisson(1.0, 300).astype(float)
-    st_mean = new_state(Direction.UP, 1.0, PO)
-    st_root = new_state(Direction.UP, 1.0, PO)
-    for x in data:
-        update(st_mean, PO.suff(x))
-        update_root_pruning(st_root, PO.suff(x), PO, 1.0, 1e-11)
-    assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
-    assert st_mean.counters.transcendental_calls == 0  # mean pruning never takes logs
-    assert st_root.counters.transcendental_calls > 2 * st_root.counters.steps
-
-
-def test_root_pruning_requires_known_theta0():
-    state = new_state(Direction.UP, None, GM)
-    with pytest.raises(ValueError):
-        update_root_pruning(state, 1.0, GM, 0.0, 1e-9)
