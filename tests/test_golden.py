@@ -83,6 +83,30 @@ OTHER = {
     "delays": "0424172ab8bdbf5d06f5876d7269d907e184f7b453bcb945ddd1cfca81cf3a24",
     "calibrate": "3cdddba438d93c8b3584cebdab8c1d6742970748c855283be75c9ec0c8a90d97",
 }
+# delay studies on 40 replicates of 150 steps, change at 60: each table has
+# detected, false-positive and censored rows
+DELAY_STUDIES = {
+    "gauss-var/unknown/both": (
+        ["--family", "gauss-var", "--theta0", "unknown", "--direction", "both", "--threshold", "12",
+         "--theta-pre", "1", "--theta-post", "2", "--seed", "5"],
+        "cb5bcc9f3e9ebdb885d6232502456710d384244fe60200f11369bd2002003b34",
+    ),
+    "poisson/unknown/up": (
+        ["--family", "poisson", "--theta0", "unknown", "--direction", "up", "--threshold", "11",
+         "--theta-pre", "2", "--theta-post", "2.8", "--seed", "6"],
+        "39ce15b9a211d64bff383af41f746c88774861973af09e3301d12f1937063676",
+    ),
+    "binomial/known/down": (
+        ["--family", "binomial", "--trials", "3", "--theta0", "0.4", "--direction", "down",
+         "--threshold", "12", "--theta-pre", "0.4", "--theta-post", "0.3", "--seed", "7"],
+        "426eb6296909fe4f210c677c761ee615ed729bc32a0e6aae0722ec1bcb772139",
+    ),
+    "gauss-mean-squares/known/both": (
+        ["--family", "gauss-mean", "--square-data", "--theta0", "1", "--direction", "both",
+         "--threshold", "50", "--theta-pre", "0", "--theta-post", "0.7", "--seed", "8"],
+        "a648144a31b19f25470896837008996378dbded24be51e6e276b6e51dab627e2",
+    ),
+}
 
 
 def _sha(path) -> str:
@@ -154,6 +178,16 @@ def test_bench_delays_digest(tmp_path):
             "--reps", "20", "--output", str(out)]
     assert main(argv) == 0
     assert _sha(out) == OTHER["delays"]
+
+
+@pytest.mark.parametrize("study", list(DELAY_STUDIES))
+def test_bench_delay_study_digest(tmp_path, study):
+    flags, digest = DELAY_STUDIES[study]
+    out = tmp_path / "delays.csv"
+    argv = ["bench", "--experiment", "delays", *flags, "--change-at", "60", "--length", "150",
+            "--reps", "40", "--output", str(out)]
+    assert main(argv) == 0
+    assert _sha(out) == digest
 
 
 def test_calibrate_digest(tmp_path):
