@@ -23,6 +23,8 @@ from .simulate import Scenario, generate
 
 
 def _child_seed(seed: int, rep: int) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return (seed << 20) + rep
 
 
@@ -31,8 +33,8 @@ def first_detection(config: DetectorConfig, data: np.ndarray) -> int | None:
     spec = config.spec
     g_arr = spec.suff_arr(np.asarray(data, dtype=float))
     states = Detector(config).states
-    for i in range(len(g_arr)):
-        if step_states(states, spec, g_arr[i], config.threshold)[0] is not None:
+    for i, gi in enumerate(g_arr.tolist()):
+        if step_states(states, spec, gi, config.threshold)[0] is not None:
             return i + 1
     return None
 
@@ -53,8 +55,7 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     states = Detector(config).states
     out = np.empty(len(g_arr))
     run = 0.0
-    for i in range(len(g_arr)):
-        gi = g_arr[i]
+    for i, gi in enumerate(g_arr.tolist()):
         v = 0.0
         for st in states:
             update(st, gi)
@@ -179,21 +180,146 @@ class DelayRow:
     delay: int | None
 
 
+def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list[int | None]:
+    """`first_detection` of every stream, with all streams stepped in lockstep.
+
+    Each (stream, direction) pair is one row of ``[rows, K]`` candidate
+    stacks (tau, prefix sum) with a stored count per row; K grows with the
+    largest count.  A step appends each row's newest candidate, runs the
+    tail-merge cascade as a masked loop until no row merges, applies the
+    known-theta0 null barrier as a mask, then evaluates every stored
+    candidate with the expressions of `FamilySpec.seg_lr_raw` and
+    `m_unknown_raw` (clipping at 0 cannot change a test against a positive
+    threshold).  A stream leaves the lockstep at its first detection or
+    its end.
+
+    The prefix bounds of the adaptive check only decide how far `check`
+    walks, so without them the detection times equal the scalar path's.
+    Conjugates go through the family's scalar ``conjugate``: ``np.log``
+    differs from ``math.log`` in the last bit on some inputs.  With theta0
+    unknown, the conjugate of each prefix mean is taken once per step and
+    serves as the pooled term and, later, as the pre-change term.
+
+    On degenerate data (a segment mean the family rejects, as after
+    prefix-sum cancellation) both paths raise the family's error, but not
+    always on the same streams: this one evaluates every stored candidate
+    and every prefix mean, the scalar path what its bounds and its walk
+    reach.
+    """
+    spec = config.spec
+    conj = spec.conjugate
+    thr = config.threshold
+    states = Detector(config).states
+    known = config.theta0 is not None
+    g_rows = [spec.suff_arr(np.asarray(s, dtype=float)) for s in streams]
+    n_streams = len(g_rows)
+    out: list[int | None] = [None] * n_streams
+    ends = np.array([len(g) for g in g_rows], dtype=np.int64)
+    width = int(ends.max(initial=0))
+    # prefix sums S[:, T] = g_1 + ... + g_T, accumulated left to right as
+    # `update` does
+    S = np.zeros((n_streams, width + 1))
+    for r, g in enumerate(g_rows):
+        np.cumsum(g, out=S[r, 1:len(g) + 1])
+    A = np.empty_like(S)  # conjugates of the prefix means, theta0 unknown
+    st0 = states[0]
+    a0, b0, g0 = st0.alpha0, st0.beta0, st0.g0
+    n_dir = len(states)
+    # rows come in blocks of n_dir per stream, in stream order; a stream
+    # leaves with its whole block
+    lane = np.repeat(np.arange(n_streams), n_dir)
+    sign = np.tile(np.array([float(st.sign) for st in states]), n_streams)
+    live = np.ones(n_streams, dtype=bool)
+    cap = 8
+    tau = np.zeros((len(lane), cap), dtype=np.int64)
+    cs = np.zeros((len(lane), cap))
+    cnt = np.zeros(len(lane), dtype=np.int64)
+    for T in range(1, width + 1):
+        keep = live[lane] & (ends[lane] >= T)
+        if not keep.all():
+            lane, sign, tau, cs, cnt = lane[keep], sign[keep], tau[keep], cs[keep], cnt[keep]
+        rows = len(lane)
+        if rows == 0:
+            break
+        St = S[lane, T]
+        if not known:
+            # A(S_T / T): the pooled term now, and the pre-change term of
+            # the candidate at tau = T from the next step on
+            mean = S[lane[::n_dir], T] / T
+            A[lane[::n_dir], T] = np.fromiter(map(conj, mean.tolist()), float, len(mean))
+        if cnt.max() == cap:
+            tau = np.concatenate([tau, np.zeros_like(tau)], axis=1)
+            cs = np.concatenate([cs, np.zeros_like(cs)], axis=1)
+            cap *= 2
+        at = np.arange(rows)
+        tau[at, cnt] = T - 1
+        cs[at, cnt] = S[lane, T - 1]
+        cnt += 1
+
+        # tail merge: pop the newest candidate while its suffix mean is not
+        # strictly past the mean of the segment before it
+        r = np.nonzero(cnt >= 2)[0]
+        while r.size:
+            k = cnt[r]
+            lt, lc = tau[r, k - 1], cs[r, k - 1]
+            suf_mean = (St[r] - lc) / (T - lt)
+            seg_mean = (lc - cs[r, k - 2]) / (lt - tau[r, k - 2])
+            r = r[~((suf_mean - seg_mean) * sign[r] > 0)]
+            cnt[r] -= 1
+            r = r[cnt[r] >= 2]
+        if known:
+            r = np.nonzero(cnt == 1)[0]
+            suf_mean = (St[r] - cs[r, 0]) / (T - tau[r, 0])
+            cnt[r[(suf_mean - g0) * sign[r] <= 0]] = 0
+        elif T < 2:
+            continue
+
+        # every stored candidate; with theta0 unknown the first (tau = 0)
+        # has no pre-change data and contributes 0
+        first = 0 if known else 1
+        rr, jj = np.nonzero(np.arange(first, cap) < cnt[:, None])
+        jj += first
+        ti, si = tau[rr, jj], cs[rr, jj]
+        n = T - ti
+        if known:
+            gbar = (St[rr] - si) / n
+            ok = (gbar - g0) * sign[rr] > 0
+            gbar = gbar[ok]
+            c = np.fromiter(map(conj, gbar.tolist()), float, len(gbar))
+            m = n[ok] * (c - (a0 * gbar - b0))
+        else:
+            g_seg = (St[rr] - si) / n
+            ok = (g_seg - si / ti) * sign[rr] > 0
+            g_seg = g_seg[ok]
+            c = np.fromiter(map(conj, g_seg.tolist()), float, len(g_seg))
+            lr = lane[rr[ok]]
+            m = ti[ok] * A[lr, ti[ok]] + n[ok] * c - T * A[lr, T]
+        fired = lane[rr[ok][2.0 * m >= thr]]
+        if fired.size:
+            live[fired] = False
+            for i in fired.tolist():
+                out[i] = T
+    return out
+
+
 def delay_experiment(runs: list[DelayRun], reps: int) -> list[DelayRow]:
     """Per-replicate detection delays; detections before the change are
     recorded as false positives, runs without detection as censored.
 
     Replicates of different runs share seeds, so two models of the same
-    scenario see identical data (paired comparison).
+    scenario see identical data (paired comparison).  The replicates of a
+    run are stepped in lockstep, with detection times equal to
+    `first_detection` on each replicate's stream.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     rows: list[DelayRow] = []
     for run in runs:
-        for rep in range(reps):
-            scen = replace(run.scenario, seed=_child_seed(run.scenario.seed, rep))
-            stream = generate(scen)
-            if run.square_data:
-                stream = stream * stream
-            t = first_detection(run.config, stream)
+        scens = [replace(run.scenario, seed=_child_seed(run.scenario.seed, rep)) for rep in range(reps)]
+        streams = [generate(scen) for scen in scens]
+        if run.square_data:
+            streams = [x * x for x in streams]
+        for rep, (scen, t) in enumerate(zip(scens, _first_detections(run.config, streams))):
             if t is None:
                 rows.append(DelayRow(run.label, rep, "censored", None, None))
             elif t <= scen.change_at:
@@ -254,11 +380,11 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
     detections: list[int] = []
     thr = config.threshold if mode == "adaptive" else None
     known = config.theta0 is not None
-    for i in range(n):
+    for i, gi in enumerate(g_arr.tolist()):
         m0 = sum(st.counters.merges for st in states)
         e0 = sum(st.counters.curves_evaluated_sum for st in states)
         t0 = sum(st.counters.transcendental_calls for st in states)
-        hit = step_states(states, spec, g_arr[i], thr)[0] is not None
+        hit = step_states(states, spec, gi, thr)[0] is not None
         if thr is None and (known or i >= 1):
             # a list, not a generator: every direction is evaluated
             hit = any([2.0 * q_full(st, spec)[0] >= config.threshold for st in states])

@@ -236,18 +236,20 @@ def run_bench(args, parser: argparse.ArgumentParser) -> int:
     config = _build_config(args, parser)
     scenario = _build_scenario(args, parser)
     try:
+        if args.experiment == "counters":
+            table, write = counter_profile(config, scenario, mode=args.mode), write_counter_csv
+        else:
+            runs = [DelayRun("run", config, scenario, square_data=args.square_data)]
+            table, write = delay_experiment(runs, args.reps), write_delay_csv
+    except ValueError as e:
+        parser.error(str(e))
+    try:
         fout = _open_out(args.output)
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return 1
     try:
-        if args.experiment == "counters":
-            profile = counter_profile(config, scenario, mode=args.mode)
-            write_counter_csv(profile, fout)
-        else:
-            runs = [DelayRun("run", config, scenario, square_data=args.square_data)]
-            rows = delay_experiment(runs, args.reps)
-            write_delay_csv(rows, fout)
+        write(table, fout)
     finally:
         if fout is not sys.stdout:
             fout.close()

@@ -35,6 +35,8 @@ class Scenario:
     def __post_init__(self):
         if not (0 <= self.change_at <= self.length):
             raise ValueError("need 0 <= change_at <= length")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.spec.in_domain(self.theta_pre):
             raise ValueError(f"theta_pre={self.theta_pre!r} outside parameter domain")
         if self.change_at and not self.spec.in_domain(self.theta_post):

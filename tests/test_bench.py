@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streamcpd import (
+    DegenerateSegmentError,
     DelayRun,
     DetectorConfig,
     FamilySpec,
@@ -14,9 +15,16 @@ from streamcpd import (
     counter_profile,
     delay_experiment,
     first_detection,
+    generate,
     mean_delay,
 )
-from streamcpd.bench import run_length, stat_running_max, write_counter_csv, write_delay_csv
+from streamcpd.bench import (
+    _first_detections,
+    run_length,
+    stat_running_max,
+    write_counter_csv,
+    write_delay_csv,
+)
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -125,6 +133,62 @@ def test_mean_delay_requires_detections():
     )
     with pytest.raises(ValueError):
         mean_delay(rows, "never")
+
+
+def test_delay_experiment_rejects_reps_below_one():
+    run = DelayRun("a", DetectorConfig(GM, 0.0, 5.0, "up"), Scenario(GM, 0.0, 1.0, 5, 20, seed=1))
+    for reps in (0, -3):
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            delay_experiment([run], reps)
+
+
+# (spec, theta_pre, theta_post) per family; binomial with one and three trials
+LANE_FAMILIES = [
+    (GM, 0.0, 1.0),
+    (GV, 1.0, 2.0),
+    (PO, 2.0, 3.5),
+    (FamilySpec.binomial(1), 0.3, 0.6),
+    (FamilySpec.binomial(3), 0.4, 0.2),
+    (FamilySpec.gamma(2.0), 1.0, 1.7),
+]
+
+
+@pytest.mark.parametrize("family", range(len(LANE_FAMILIES)),
+                         ids=["gauss-mean", "gauss-var", "poisson", "binomial1", "binomial3", "gamma"])
+def test_lanes_equal_scalar_first_detection(family):
+    spec, pre, post = LANE_FAMILIES[family]
+    rng = np.random.default_rng(100 + family)
+    times = []
+    for known in (True, False):
+        for direction in ("up", "down", "both"):
+            # an immediate detection, two random thresholds and none at all
+            for thr in (1e-3, *rng.uniform(2.0, 25.0, 2).tolist(), 1e12):
+                cfg = DetectorConfig(spec, pre if known else None, thr, direction)
+                streams = []
+                for change in (0, int(rng.integers(1, 150)), int(rng.integers(1, 150))):
+                    length = int(rng.integers(150, 220))
+                    scen = Scenario(spec, pre, post, change, length, int(rng.integers(2**31)))
+                    streams.append(generate(scen))
+                streams += [streams[0][:k] for k in (0, 1, 2)]
+                want = [first_detection(cfg, s) for s in streams]
+                assert _first_detections(cfg, streams) == want
+                assert [_first_detections(cfg, [s])[0] for s in streams[2:]] == want[2:]
+                times += want
+    assert _first_detections(cfg, []) == []
+    # lanes that fire at the first step (theta0 known), later, and never
+    assert 1 in times and None in times and any(t is not None and t > 2 for t in times)
+
+
+def test_lanes_raise_on_a_degenerate_segment_like_scalar():
+    # x^2 = 1e20 then 1e-20: the prefix-sum difference of the second step
+    # cancels to 0.0, a degenerate gauss-var segment mean
+    cfg = DetectorConfig(GV, None, 20.0, "both")
+    bad = np.array([1e10, 1e-10, 1.0, 2.0])
+    with pytest.raises(DegenerateSegmentError):
+        first_detection(cfg, bad)
+    ordinary = [generate(Scenario(GV, 1.0, 3.0, 20, 60, seed=s)) for s in range(4)]
+    with pytest.raises(DegenerateSegmentError):
+        _first_detections(cfg, [*ordinary[:2], bad, *ordinary[2:]])
 
 
 # ------------------------------------------------------------------

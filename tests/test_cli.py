@@ -274,6 +274,37 @@ def test_bench_delays_csv(tmp_path, capsys):
     assert len(lines) == 6
 
 
+_BENCH_DELAYS = ["bench", "--experiment", "delays", "--family", "gauss-mean", "--theta0", "0",
+                 "--threshold", "5", "--theta-pre", "0", "--length", "5"]
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--family", "gauss-mean", "--theta-pre", "0", "--length", "5", "--seed", "-1"], "-1"),
+    (["calibrate", "--family", "gauss-mean", "--theta0", "0", "--target-arl", "100",
+      "--reps", "50", "--seed", "-1"], "-1"),
+    ([*_BENCH_DELAYS, "--seed", "-2"], "-2"),
+    (["bench", "--experiment", "counters", "--family", "gauss-mean", "--theta0", "0",
+      "--threshold", "5", "--theta-pre", "0", "--length", "5", "--seed", "-3"], "-3"),
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv, seed):
+    out_path = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(out_path)])
+    assert exc.value.code == 2
+    assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_delays_rejects_reps_below_one(tmp_path, capsys, reps):
+    out_path = tmp_path / "d.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*_BENCH_DELAYS, "--seed", "1", "--reps", reps, "--output", str(out_path)])
+    assert exc.value.code == 2
+    assert f"reps must be at least 1, got {reps}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     p = tmp_path / "in.txt"
     p.write_text("3\n3\n")

@@ -72,3 +72,5 @@ def test_scenario_validation():
         Scenario(PO, -1.0, 1.0, 0, 10, seed=1)
     with pytest.raises(ValueError):
         Scenario(PO, 1.0, -2.0, 5, 10, seed=1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        Scenario(PO, 1.0, 1.0, 0, 10, seed=-1)
