@@ -188,9 +188,8 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     largest count.  A step appends each row's newest candidate, runs the
     tail-merge cascade as a masked loop until no row merges, applies the
     known-theta0 null barrier as a mask, then evaluates every stored
-    candidate with the expressions of `FamilySpec.seg_lr_raw` and
-    `m_unknown_raw` (clipping at 0 cannot change a test against a positive
-    threshold).  A stream leaves the lockstep at its first detection or
+    candidate with the expressions of `pruning.curve_m`, its scalar form
+    (clipping at 0 cannot change a test against a positive threshold).  A stream leaves the lockstep at its first detection or
     its end.
 
     The prefix bounds of the adaptive check only decide how far `check`

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .bench import (
@@ -83,8 +84,34 @@ def _open_in(path: str):
     return sys.stdin if path == "-" else open(path, "r")
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w")
+def _write_output(path: str, write) -> int:
+    """Open ``path`` (``-`` = stdout), run ``write(fout)``, flush and close.
+
+    Returns the exit code ``write`` returns (None counts as 0), or 1 after
+    an ``error: ...`` line when opening, writing or closing the output
+    fails (a closed pipe included).
+    """
+    try:
+        fout = sys.stdout if path == "-" else open(path, "w")
+    except OSError as e:
+        print(f"error: cannot open output: {e}", file=sys.stderr)
+        return 1
+    try:
+        try:
+            return write(fout) or 0
+        finally:
+            if fout is sys.stdout:
+                fout.flush()
+            else:
+                fout.close()
+    except OSError as e:
+        if fout is sys.stdout:
+            # the interpreter flushes stdout again at exit; send that to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: I/O failure: {e}", file=sys.stderr)
+        return 1
 
 
 # ------------------------------------------------------------------
@@ -104,49 +131,43 @@ def _event_line(t: int, curves: int, evaluated: int, stat, detection) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+def _detect_lines(detector: Detector, fin, fout) -> int:
+    stop_on_detect = detector.config.stop_on_detect
+    for lineno, raw in enumerate(fin, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            x = float(line)
+        except ValueError:
+            print(f"error: line {lineno}: not a number: {line!r}", file=sys.stderr)
+            return 2
+        try:
+            res = detector.step(x)
+        except StreamCpdError as e:
+            print(f"error: line {lineno}: {e}", file=sys.stderr)
+            return 2
+        print(
+            _event_line(res.t, res.curves_stored, res.curves_evaluated, res.stat, res.detection),
+            file=fout,
+        )
+        if res.detection is not None and stop_on_detect:
+            return 3
+    return 0
+
+
 def run_detect(args, parser: argparse.ArgumentParser) -> int:
-    config = _build_config(args, parser, stop_on_detect=not args.no_stop)
-    detector = Detector(config)
+    detector = Detector(_build_config(args, parser, stop_on_detect=not args.no_stop))
     try:
         fin = _open_in(args.input)
     except OSError as e:
         print(f"error: cannot open input: {e}", file=sys.stderr)
         return 1
     try:
-        fout = _open_out(args.output)
-    except OSError as e:
-        print(f"error: cannot open output: {e}", file=sys.stderr)
-        return 1
-    try:
-        for lineno, raw in enumerate(fin, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x = float(line)
-            except ValueError:
-                print(f"error: line {lineno}: not a number: {line!r}", file=sys.stderr)
-                return 2
-            try:
-                res = detector.step(x)
-            except StreamCpdError as e:
-                print(f"error: line {lineno}: {e}", file=sys.stderr)
-                return 2
-            print(
-                _event_line(res.t, res.curves_stored, res.curves_evaluated, res.stat, res.detection),
-                file=fout,
-            )
-            if res.detection is not None and config.stop_on_detect:
-                return 3
-        return 0
-    except OSError as e:
-        print(f"error: I/O failure: {e}", file=sys.stderr)
-        return 1
+        return _write_output(args.output, lambda fout: _detect_lines(detector, fin, fout))
     finally:
         if fin is not sys.stdin:
             fin.close()
-        if fout is not sys.stdout:
-            fout.close()
 
 
 # ------------------------------------------------------------------
@@ -179,15 +200,7 @@ def run_calibrate(args, parser: argparse.ArgumentParser) -> int:
         return 4
     except (ValueError, StreamCpdError) as e:
         parser.error(str(e))
-    try:
-        fout = _open_out(args.output)
-    except OSError as e:
-        print(f"error: cannot open output: {e}", file=sys.stderr)
-        return 1
-    print(_calibration_json(res), file=fout)
-    if fout is not sys.stdout:
-        fout.close()
-    return 0
+    return _write_output(args.output, lambda fout: print(_calibration_json(res), file=fout))
 
 
 # ------------------------------------------------------------------
@@ -213,18 +226,12 @@ def _build_scenario(args, parser: argparse.ArgumentParser) -> Scenario:
 
 def run_simulate(args, parser: argparse.ArgumentParser) -> int:
     scenario = _build_scenario(args, parser)
-    stream = generate(scenario)
     try:
-        fout = _open_out(args.output)
-    except OSError as e:
-        print(f"error: cannot open output: {e}", file=sys.stderr)
-        return 1
-    integral = scenario.spec.integral
-    for v in stream:
-        print(str(int(v)) if integral else _fmt17(v), file=fout)
-    if fout is not sys.stdout:
-        fout.close()
-    return 0
+        stream = generate(scenario)
+    except ValueError as e:
+        parser.error(str(e))
+    fmt = (lambda v: str(int(v))) if scenario.spec.integral else _fmt17
+    return _write_output(args.output, lambda fout: fout.writelines(fmt(v) + "\n" for v in stream))
 
 
 # ------------------------------------------------------------------
@@ -243,17 +250,7 @@ def run_bench(args, parser: argparse.ArgumentParser) -> int:
             table, write = delay_experiment(runs, args.reps), write_delay_csv
     except ValueError as e:
         parser.error(str(e))
-    try:
-        fout = _open_out(args.output)
-    except OSError as e:
-        print(f"error: cannot open output: {e}", file=sys.stderr)
-        return 1
-    try:
-        write(table, fout)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
-    return 0
+    return _write_output(args.output, lambda fout: write(table, fout))
 
 
 # ------------------------------------------------------------------

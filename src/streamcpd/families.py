@@ -63,19 +63,6 @@ class Direction(enum.Enum):
         return self.value
 
 
-class SuffStat(NamedTuple):
-    """Sufficient statistic of a segment: sum of g(x_t) and observation count."""
-
-    sum_g: float
-    count: int
-
-    @property
-    def mean(self) -> float:
-        if self.count <= 0:
-            raise ValueError("segment mean undefined for empty segment")
-        return self.sum_g / self.count
-
-
 class _Forms(NamedTuple):
     """Closed forms of one family with its extra parameter bound.
 
@@ -350,30 +337,3 @@ class FamilySpec:
     def conjugate_arr(self, g: np.ndarray) -> np.ndarray:
         """Elementwise A(g) on an array, same boundary conventions as `conjugate`."""
         return self._forms.conjugate_arr(np.asarray(g, dtype=float))
-
-    # -- directional segment likelihood ratio -------------------------
-
-    def seg_lr_known(self, theta0: float, stat: SuffStat, direction: Direction) -> float:
-        """Max log-likelihood-ratio of a one-sided change on a segment, theta0 known.
-
-        Returns sup over theta1 strictly on the ``direction`` side of theta0 of
-        n * [(a(t1) - a(t0)) gbar - (b(t1) - b(t0))], which is
-        n * [A(gbar) - (a(t0) gbar - b(t0))] when gbar lies past mu(theta0)
-        in that direction and 0 otherwise.  Never negative.
-        """
-        if stat.count <= 0:
-            raise ValueError("seg_lr_known requires a non-empty segment")
-        a0 = self.alpha(theta0)
-        b0 = self.beta_fn(theta0)
-        g0 = self.mean_suff(theta0)
-        return self.seg_lr_raw(a0, b0, g0, stat.sum_g, stat.count, direction.sign)
-
-    def seg_lr_raw(
-        self, alpha0: float, beta0: float, g0: float, sum_g: float, count: int, sign: int
-    ) -> float:
-        # hot-path variant: alpha0/beta0/g0 precomputed by the caller
-        gbar = sum_g / count
-        if (gbar - g0) * sign <= 0:
-            return 0.0
-        m = count * (self.conjugate(gbar) - (alpha0 * gbar - beta0))
-        return m if m > 0.0 else 0.0  # the gap is a divergence; clip rounding noise

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import Direction, FamilySpec, SuffStat
-from .pruning import PruneState, m_unknown_raw
+from .families import FamilySpec
+from .pruning import PruneState, curve_m
 
 
 @dataclass(frozen=True)
@@ -34,30 +34,6 @@ class CheckOutcome:
     bound_used: float
 
 
-def m_between(
-    spec: FamilySpec,
-    theta0: float | None,
-    prefix_i: SuffStat,
-    prefix_j: SuffStat,
-    direction: Direction,
-) -> float:
-    """Likelihood-ratio statistic for a change at tau_i with data ending at tau_j.
-
-    Prefixes are cumulative stats at the two times (count == tau).  With a
-    known pre-change parameter the pre-change terms cancel and this is the
-    one-sided segment statistic; with it unknown both fits maximise over the
-    pre-change parameter.  Always >= 0.
-    """
-    if not prefix_i.count < prefix_j.count:
-        raise ValueError("m_between requires prefix_i strictly shorter than prefix_j")
-    if theta0 is not None:
-        seg = SuffStat(prefix_j.sum_g - prefix_i.sum_g, prefix_j.count - prefix_i.count)
-        return spec.seg_lr_known(theta0, seg, direction)
-    return m_unknown_raw(
-        spec, prefix_i.count, prefix_i.sum_g, prefix_j.count, prefix_j.sum_g, direction.sign
-    )
-
-
 def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
     """Set the prefix bound of the candidate appended by the latest update.
 
@@ -76,19 +52,10 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
         last.m_bound = 0.0
         return
     prev = recs[-2]
-    if state.theta0 is not None:
-        m = spec.seg_lr_raw(
-            state.alpha0,
-            state.beta0,
-            state.g0,
-            last.cum_sum - prev.cum_sum,
-            last.tau - prev.tau,
-            state.sign,
-        )
-        state.counters.transcendental_calls += spec.transcendental_cost
-    else:
-        m = m_unknown_raw(spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum, state.sign)
-        state.counters.transcendental_calls += 3 * spec.transcendental_cost
+    m = curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum)
+    state.counters.transcendental_calls += spec.transcendental_cost * (
+        1 if state.theta0 is not None else 3
+    )
     last.m_bound = prev.m_bound + m
 
 
@@ -106,21 +73,15 @@ def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome
     c = state.counters
     T = state.total_count
     St = state.total_sum
-    sign = state.sign
     evals = 0
     bound2 = 0.0
     hit_tau: int | None = None
     hit_stat: float | None = None
     known = state.theta0 is not None
-    pooled: float | None = None
+    pooled = None if known or not recs else T * spec.conjugate(St / T)
 
     for r in reversed(recs):
-        if known:
-            m = spec.seg_lr_raw(state.alpha0, state.beta0, state.g0, St - r.cum_sum, T - r.tau, sign)
-        else:
-            if pooled is None:
-                pooled = T * spec.conjugate(St / T)
-            m = m_unknown_raw(spec, r.tau, r.cum_sum, T, St, sign, pooled)
+        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled)
         evals += 1
         bound2 = 2.0 * (m + r.m_bound)
         if bound2 < threshold:
@@ -132,7 +93,7 @@ def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome
 
     c.curves_evaluated_sum += evals
     c.transcendental_calls += evals * spec.transcendental_cost * (1 if known else 2)
-    if not known and pooled is not None:
+    if pooled is not None:
         c.transcendental_calls += spec.transcendental_cost
     return CheckOutcome(
         changed=hit_tau is not None,

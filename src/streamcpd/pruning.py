@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .counters import CounterSet
 from .errors import ParamDomainError
-from .families import Direction, FamilySpec, SuffStat
+from .families import Direction, FamilySpec
 
 _NAN = float("nan")
 
@@ -118,51 +118,40 @@ def update(state: PruneState, g: float) -> PruneState:
     return state
 
 
-def segments(state: PruneState) -> list[tuple[int, SuffStat, float]]:
-    """Read-only view: (tau, segment stat, prefix bound) in tau order.
-
-    The last entry's stat covers the open suffix from the newest candidate
-    to the current time.
-    """
-    recs = state.records
-    out = []
-    for i, r in enumerate(recs):
-        if i + 1 < len(recs):
-            nxt = recs[i + 1]
-            stat = SuffStat(nxt.cum_sum - r.cum_sum, nxt.tau - r.tau)
-        else:
-            stat = SuffStat(state.total_sum - r.cum_sum, state.total_count - r.tau)
-        out.append((r.tau, stat, r.m_bound))
-    return out
-
-
-def m_unknown_raw(
+def curve_m(
+    state: PruneState,
     spec: FamilySpec,
-    tau_i: int,
-    sum_i: float,
-    tau_j: int,
-    sum_j: float,
-    sign: int,
-    pooled_term: float | None = None,
+    tau: int,
+    cum_sum: float,
+    T: int,
+    St: float,
+    pooled: float | None = None,
 ) -> float:
-    """Likelihood-ratio statistic for a change at tau_i, window ending tau_j,
-    pre-change parameter maximised out, post-change restricted to one side.
+    """Likelihood-ratio statistic (Q scale) of a change at ``tau`` within the
+    first ``T`` observations, post-change restricted to the state's side.
 
-    Zero when the segment mean does not lie past the prefix mean in the
-    monitored direction (the order-constrained fit pools to the common MLE),
-    and zero at tau_i = 0 where no pre-change data exists.
+    ``cum_sum`` and ``St`` are the prefix sums of g at ``tau`` and ``T``.
+    theta0 known: n [A(g_seg) - (a0 g_seg - b0)]; unknown: tau A(g_pre) +
+    n A(g_seg) - T A(g_all), whose last term ``pooled`` may be shared across
+    curves.  Zero when g_seg is not past the pre-change mean in the state's
+    direction, and at tau = 0 with theta0 unknown (no pre-change data).
     """
-    if tau_i == 0:
-        return 0.0
-    n = tau_j - tau_i
-    g_pre = sum_i / tau_i
-    g_seg = (sum_j - sum_i) / n
-    if (g_seg - g_pre) * sign <= 0:
-        return 0.0
-    if pooled_term is None:
-        pooled_term = tau_j * spec.conjugate(sum_j / tau_j)
-    m = tau_i * spec.conjugate(g_pre) + n * spec.conjugate(g_seg) - pooled_term
-    return m if m > 0.0 else 0.0  # split fit >= pooled fit; clip rounding noise
+    n = T - tau
+    g_seg = (St - cum_sum) / n
+    if state.theta0 is not None:
+        if (g_seg - state.g0) * state.sign <= 0:
+            return 0.0
+        m = n * (spec.conjugate(g_seg) - (state.alpha0 * g_seg - state.beta0))
+    else:
+        if tau == 0:
+            return 0.0
+        g_pre = cum_sum / tau
+        if (g_seg - g_pre) * state.sign <= 0:
+            return 0.0
+        if pooled is None:
+            pooled = T * spec.conjugate(St / T)
+        m = tau * spec.conjugate(g_pre) + n * spec.conjugate(g_seg) - pooled
+    return m if m > 0.0 else 0.0  # >= 0 in exact arithmetic; clip rounding noise
 
 
 def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
@@ -178,24 +167,15 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
     c = state.counters
     T = state.total_count
     St = state.total_sum
-    sign = state.sign
+    pooled = None if state.theta0 is not None else T * spec.conjugate(St / T)
     best = 0.0
     best_tau: int | None = None
-    if state.theta0 is not None:
-        a0, b0, g0 = state.alpha0, state.beta0, state.g0
-        for r in recs:
-            m = spec.seg_lr_raw(a0, b0, g0, St - r.cum_sum, T - r.tau, sign)
-            if m > best:
-                best = m
-                best_tau = r.tau
-        c.transcendental_calls += len(recs) * spec.transcendental_cost
-    else:
-        pooled = T * spec.conjugate(St / T)
-        for r in recs:
-            m = m_unknown_raw(spec, r.tau, r.cum_sum, T, St, sign, pooled)
-            if m > best:
-                best = m
-                best_tau = r.tau
-        c.transcendental_calls += (2 * len(recs) + 1) * spec.transcendental_cost
+    for r in recs:
+        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled)
+        if m > best:
+            best = m
+            best_tau = r.tau
+    calls = len(recs) if pooled is None else 2 * len(recs) + 1  # + 1: the pooled term
+    c.transcendental_calls += calls * spec.transcendental_cost
     c.curves_evaluated_sum += len(recs)
     return best, best_tau

@@ -49,11 +49,20 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def generate(scenario: Scenario) -> np.ndarray:
-    """Deterministic stream for the scenario; same seed, same bits."""
+    """Deterministic stream for the scenario; same seed, same bits.
+
+    Raises ValueError naming a theta whose draws are not finite (inf or NaN).
+    """
     rng = np.random.Generator(np.random.PCG64(scenario.seed))
     u = _open_uniforms(rng, scenario.length)
     inv = scenario.spec.inverse_cdf
-    if scenario.change_at == 0:
-        return inv(scenario.theta_pre, u)
     cut = scenario.change_at
-    return np.concatenate([inv(scenario.theta_pre, u[:cut]), inv(scenario.theta_post, u[cut:])])
+    with np.errstate(over="ignore"):  # overflow is reported below, by theta
+        if cut == 0:
+            x = inv(scenario.theta_pre, u)
+        else:
+            x = np.concatenate([inv(scenario.theta_pre, u[:cut]), inv(scenario.theta_post, u[cut:])])
+    if not np.isfinite(x).all():
+        bad = scenario.theta_post if cut and np.isfinite(x[:cut]).all() else scenario.theta_pre
+        raise ValueError(f"theta={bad!r} gives non-finite {scenario.spec.kind.value} observations")
+    return x

@@ -28,7 +28,7 @@ from streamcpd import (
 from streamcpd.bench import run_length
 from streamcpd.oracle import naive_q_path
 from streamcpd.maxima import attach_bounds, check
-from streamcpd.pruning import m_unknown_raw
+from streamcpd.pruning import curve_m
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -182,13 +182,6 @@ A5_CASES = [
 ]
 
 
-def _suffix_m(state, spec, r):
-    T, St, sign = state.total_count, state.total_sum, state.sign
-    if state.theta0 is not None:
-        return spec.seg_lr_raw(state.alpha0, state.beta0, state.g0, St - r.cum_sum, T - r.tau, sign)
-    return m_unknown_raw(spec, r.tau, r.cum_sum, T, St, sign)
-
-
 def test_a5_bound_and_decision_agreement():
     bound_violations = 0
     decision_mismatches = 0
@@ -200,7 +193,8 @@ def test_a5_bound_and_decision_agreement():
             update(state, g)
             attach_bounds(state, spec)
             steps += 1
-            ms = [_suffix_m(state, spec, r) for r in state.records]
+            T, St = state.total_count, state.total_sum
+            ms = [curve_m(state, spec, r.tau, r.cum_sum, T, St) for r in state.records]
             prefix_max = 0.0
             for m, r in zip(ms, state.records):
                 prefix_max = max(prefix_max, m)

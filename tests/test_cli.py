@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -314,3 +315,66 @@ def test_module_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 3
     assert '"detect": true' in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "poisson", "--theta-pre", "1e20"],
+    ["simulate", "--family", "gamma", "--shape", "1", "--theta-pre", "1e308"],
+])
+def test_simulate_non_finite_stream_is_a_usage_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "s.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--length", "3", "--seed", "1", "--output", str(out_path)])
+    assert exc.value.code == 2
+    assert f"theta={float(argv[-1])!r} gives non-finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+# ------------------------------------------------------------------
+# output failures
+# ------------------------------------------------------------------
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "1e9"],
+    ["simulate", "--family", "gauss-mean", "--theta-pre", "0", "--length", "3", "--seed", "1"],
+    ["calibrate", "--family", "gauss-mean", "--theta0", "0", "--direction", "up",
+     "--target-arl", "100", "--reps", "50", "--seed", "1"],
+    ["bench", "--experiment", "counters", "--family", "gauss-mean", "--theta0", "0",
+     "--threshold", "5", "--theta-pre", "0", "--length", "5", "--seed", "1"],
+    [*_BENCH_DELAYS, "--seed", "1", "--reps", "2"],
+], ids=["detect", "simulate", "calibrate", "bench-counters", "bench-delays"])
+def test_write_failure_exits_1(tmp_path, capsys, argv):
+    if argv[0] == "detect":
+        p = tmp_path / "in.txt"
+        p.write_text("0.1\n0.2\n")
+        argv = [*argv, "--input", str(p)]
+    code, _, err = run_cli([*argv, "--output", "/dev/full"], capsys)
+    assert code == 1
+    assert err.startswith("error: I/O failure:")
+
+
+@needs_dev_full
+def test_stdout_write_failure_exits_1_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "streamcpd.cli", "simulate", "--family", "gauss-mean",
+             "--theta-pre", "0", "--length", "3", "--seed", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: I/O failure:") and "Traceback" not in proc.stderr
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "streamcpd.cli", "simulate", "--family", "gauss-mean",
+         "--theta-pre", "0", "--length", "100000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # like `| head -1`
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Broken pipe" in err and "Traceback" not in err

@@ -16,7 +16,7 @@ from streamcpd import (
     SupportError,
 )
 from streamcpd.errors import MeanRangeError
-from streamcpd.families import SuffStat
+from streamcpd.pruning import curve_m, new_state
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -211,29 +211,27 @@ def numeric_seg_lr(spec, theta0, S, n, direction):
     return max(0.0, -r.fun)
 
 
-def test_seg_lr_known_examples():
-    assert GM.seg_lr_known(0.0, SuffStat(2.0, 2), Direction.UP) == pytest.approx(1.0)
+def seg_lr(spec, theta0, sum_g, n, direction):
+    """Statistic of a segment of n observations with g-sum ``sum_g``, theta0 known."""
+    return curve_m(new_state(direction, theta0, spec), spec, 0, 0.0, n, sum_g)
+
+
+def test_curve_m_known_examples():
+    assert seg_lr(GM, 0.0, 2.0, 2, Direction.UP) == pytest.approx(1.0)
     # frozen from the numeric maximisation of 4 log(t) - 2(t - 1) over t > 1
-    assert PO.seg_lr_known(1.0, SuffStat(4.0, 2), Direction.UP) == pytest.approx(
-        4 * math.log(2) - 2, abs=1e-12
-    )
-    assert PO.seg_lr_known(1.0, SuffStat(0.0, 3), Direction.UP) == 0.0  # wrong side clamps
-
-
-def test_seg_lr_known_empty_segment():
-    with pytest.raises(ValueError):
-        GM.seg_lr_known(0.0, SuffStat(0.0, 0), Direction.UP)
+    assert seg_lr(PO, 1.0, 4.0, 2, Direction.UP) == pytest.approx(4 * math.log(2) - 2, abs=1e-12)
+    assert seg_lr(PO, 1.0, 0.0, 3, Direction.UP) == 0.0  # wrong side clamps
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(1, 20))
 def test_seg_lr_nonnegative_and_one_sided(theta0, gbar, n):
-    stat = SuffStat(gbar * n, n)
-    m_up = GM.seg_lr_known(theta0, stat, Direction.UP)
-    m_dn = GM.seg_lr_known(theta0, stat, Direction.DOWN)
+    sum_g = gbar * n
+    m_up = seg_lr(GM, theta0, sum_g, n, Direction.UP)
+    m_dn = seg_lr(GM, theta0, sum_g, n, Direction.DOWN)
     assert m_up >= 0.0 and m_dn >= 0.0
     # the clamp keys off the reconstructed segment mean, which can land an
     # ulp away from gbar after the sum round-trip
-    mean = stat.mean
+    mean = sum_g / n
     if mean > theta0:
         assert m_dn == 0.0
     elif mean < theta0:
@@ -244,7 +242,7 @@ def test_seg_lr_nonnegative_and_one_sided(theta0, gbar, n):
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind.value)
 @pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
-def test_seg_lr_known_matches_numeric_max(spec, direction):
+def test_curve_m_known_matches_numeric_max(spec, direction):
     rng = np.random.default_rng(hash((spec.kind.value, direction.name)) % 2**32)
     for _ in range(50):
         theta0 = random_theta(spec, rng)
@@ -253,9 +251,8 @@ def test_seg_lr_known_matches_numeric_max(spec, direction):
         gbar = spec.mean_suff(theta_d)
         if spec is BI4:
             gbar = min(max(gbar, 0.05), 3.95)
-        stat = SuffStat(gbar * n, n)
-        got = spec.seg_lr_known(theta0, stat, direction)
-        want = numeric_seg_lr(spec, theta0, stat.sum_g, n, direction)
+        got = seg_lr(spec, theta0, gbar * n, n, direction)
+        want = numeric_seg_lr(spec, theta0, gbar * n, n, direction)
         assert got == pytest.approx(want, abs=1e-6)
         assert got >= 0.0
 

@@ -12,9 +12,8 @@ from streamcpd import (
     q_full,
     update,
 )
-from streamcpd.families import FamilyKind, SuffStat
-from streamcpd.maxima import m_between
-from streamcpd.pruning import m_unknown_raw
+from streamcpd.families import FamilyKind
+from streamcpd.pruning import curve_m
 
 GM = FamilySpec.gauss_mean()
 PO = FamilySpec.poisson()
@@ -28,36 +27,31 @@ def advance(state, spec, xs):
 
 
 # ------------------------------------------------------------------
-# m_between
+# curve_m between two prefixes
 # ------------------------------------------------------------------
 
 
-def test_m_between_unknown_example():
+def test_curve_m_unknown_example():
     # data 0, 0, 2: prefix at 2 = {0, 2}, prefix at 3 = {2, 3}
-    m = m_between(GM, None, SuffStat(0.0, 2), SuffStat(2.0, 3), Direction.UP)
+    m = curve_m(new_state(Direction.UP, None, GM), GM, 2, 0.0, 3, 2.0)
     assert m == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
-def test_m_between_known_zero_at_null_mean():
+def test_curve_m_known_zero_at_null_mean():
     for spec, theta0 in [(GM, 0.5), (PO, 2.0)]:
         g0 = spec.mean_suff(theta0)
-        m = m_between(spec, theta0, SuffStat(0.0, 0), SuffStat(3 * g0, 3), Direction.UP)
+        m = curve_m(new_state(Direction.UP, theta0, spec), spec, 0, 0.0, 3, 3 * g0)
         assert m == 0.0
 
 
-def test_m_between_unknown_direction_clamp():
+def test_curve_m_unknown_direction_clamp():
     # data 2 then 0: the segment mean 0 sits below the prefix mean 2
-    m = m_between(GM, None, SuffStat(2.0, 1), SuffStat(2.0, 2), Direction.UP)
+    m = curve_m(new_state(Direction.UP, None, GM), GM, 1, 2.0, 2, 2.0)
     assert m == 0.0
 
 
-def test_m_between_requires_ordered_prefixes():
-    with pytest.raises(ValueError):
-        m_between(GM, 0.0, SuffStat(1.0, 2), SuffStat(1.0, 2), Direction.UP)
-
-
-def test_m_unknown_raw_zero_at_tau_zero():
-    assert m_unknown_raw(GM, 0, 0.0, 5, 3.0, 1) == 0.0
+def test_curve_m_unknown_zero_at_tau_zero():
+    assert curve_m(new_state(Direction.UP, None, GM), GM, 0, 0.0, 5, 3.0) == 0.0
 
 
 # ------------------------------------------------------------------
@@ -136,13 +130,6 @@ PROP_CASES = [
 ]
 
 
-def suffix_m(state, spec, r):
-    T, St, sign = state.total_count, state.total_sum, state.sign
-    if state.theta0 is not None:
-        return spec.seg_lr_raw(state.alpha0, state.beta0, state.g0, St - r.cum_sum, T - r.tau, sign)
-    return m_unknown_raw(spec, r.tau, r.cum_sum, T, St, sign)
-
-
 @pytest.mark.parametrize("spec,theta0,_,gen", PROP_CASES,
                          ids=[f"{c[0].kind.value}-{'known' if c[1] is not None else 'unknown'}" for c in PROP_CASES])
 @pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
@@ -152,7 +139,8 @@ def test_bound_dominates_prefix_max_every_step(spec, theta0, _, gen, direction):
     for x in gen(rng, 300):
         update(state, spec.suff(x))
         attach_bounds(state, spec)
-        ms = [suffix_m(state, spec, r) for r in state.records]
+        T, St = state.total_count, state.total_sum
+        ms = [curve_m(state, spec, r.tau, r.cum_sum, T, St) for r in state.records]
         prefix_max = 0.0
         for m, r in zip(ms, state.records):
             prefix_max = max(prefix_max, m)

@@ -17,7 +17,7 @@ from streamcpd import (
     update,
 )
 from streamcpd.oracle import naive_q_path
-from streamcpd.pruning import segments
+from streamcpd.pruning import CurveRecord
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -71,12 +71,9 @@ def feed(state, spec, xs):
 
 def test_update_merges_into_single_record():
     st_ = feed(new_state(Direction.UP, 0.0, GM), GM, [1.0, 0.5])
-    segs = segments(st_)
-    assert len(segs) == 1
-    tau, stat, _ = segs[0]
-    assert tau == 0
-    assert stat.sum_g == 1.5 and stat.count == 2
-    assert stat.mean == 0.75
+    assert st_.records == [CurveRecord(0, 0.0)]
+    assert st_.total_sum == 1.5 and st_.total_count == 2
+    assert st_.total_sum / st_.total_count == 0.75
 
 
 def test_update_null_drop():
@@ -88,13 +85,8 @@ def test_update_null_drop():
 
 def test_update_keeps_increasing_means():
     st_ = feed(new_state(Direction.UP, 0.0, GM), GM, [0.5, 1.0])
-    segs = segments(st_)
-    assert [tau for tau, _, _ in segs] == [0, 1]
-    assert segs[0][1].mean == 0.5 and segs[1][1].mean == 1.0
-
-
-def test_segments_empty():
-    assert segments(new_state(Direction.DOWN, None, PO)) == []
+    assert st_.records == [CurveRecord(0, 0.0), CurveRecord(1, 0.5)]
+    assert st_.total_sum == 1.5 and st_.total_count == 2  # segment means 0.5 and 1.0
 
 
 def test_new_state_domain_error():

@@ -1,5 +1,7 @@
 """Deterministic generators: reproducibility and distributional sanity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,13 @@ def test_scenario_validation():
         Scenario(PO, 1.0, -2.0, 5, 10, seed=1)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         Scenario(PO, 1.0, 1.0, 0, 10, seed=-1)
+
+
+@pytest.mark.parametrize("spec, theta_pre, theta_post, change_at, bad", [
+    (PO, 1e20, 1e20, 0, "1e+20"),  # the quantile map returns NaN
+    (FamilySpec.gamma(1.0), 1e308, 1e308, 0, "1e+308"),  # the draws overflow to inf
+    (PO, 1.0, 1e20, 2, "1e+20"),  # only the post-change part is non-finite
+], ids=["poisson-nan", "gamma-inf", "poisson-post-change"])
+def test_non_finite_stream_names_theta(spec, theta_pre, theta_post, change_at, bad):
+    with pytest.raises(ValueError, match=re.escape(f"theta={bad} gives non-finite")):
+        generate(Scenario(spec, theta_pre, theta_post, change_at, 3, seed=1))
