@@ -119,20 +119,10 @@ def _write_output(path: str, write) -> int:
 # ------------------------------------------------------------------
 
 
-def _event_line(t: int, curves: int, evaluated: int, stat, detection) -> str:
-    parts = [f'"t": {t}', f'"curves": {curves}', f'"evaluated": {evaluated}']
-    if detection is not None:
-        parts.append('"detect": true')
-        parts.append(f'"tau_low": {detection.tau_low}')
-        parts.append(f'"stat": {_fmt17(detection.stat)}')
-        parts.append(f'"direction": "{detection.direction_hit.name.lower()}"')
-    elif stat is not None:
-        parts.append(f'"stat": {_fmt17(stat)}')
-    return "{" + ", ".join(parts) + "}"
-
-
 def _detect_lines(detector: Detector, fin, fout) -> int:
     stop_on_detect = detector.config.stop_on_detect
+    step = detector.step
+    write = fout.write
     for lineno, raw in enumerate(fin, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -143,16 +133,22 @@ def _detect_lines(detector: Detector, fin, fout) -> int:
             print(f"error: line {lineno}: not a number: {line!r}", file=sys.stderr)
             return 2
         try:
-            res = detector.step(x)
+            t, detection, stat, curves, evaluated = step(x)
         except StreamCpdError as e:
             print(f"error: line {lineno}: {e}", file=sys.stderr)
             return 2
-        print(
-            _event_line(res.t, res.curves_stored, res.curves_evaluated, res.stat, res.detection),
-            file=fout,
-        )
-        if res.detection is not None and stop_on_detect:
-            return 3
+        if detection is not None:
+            write(
+                f'{{"t": {t}, "curves": {curves}, "evaluated": {evaluated}, "detect": true, '
+                f'"tau_low": {detection.tau_low}, "stat": {_fmt17(detection.stat)}, '
+                f'"direction": "{detection.direction_hit.name.lower()}"}}\n'
+            )
+            if stop_on_detect:
+                return 3
+        elif stat is not None:
+            write(f'{{"t": {t}, "curves": {curves}, "evaluated": {evaluated}, "stat": {_fmt17(stat)}}}\n')
+        else:
+            write(f'{{"t": {t}, "curves": {curves}, "evaluated": {evaluated}}}\n')
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, SupportError
 from .families import Direction, FamilySpec
@@ -40,8 +41,7 @@ class DetectorConfig:
             raise ValueError(f"theta0={self.theta0!r} outside parameter domain ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     t_detect: int
     tau_low: int
     stat: float
@@ -75,8 +75,7 @@ def step_states(
     return detection, evals
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     t: int
     detection: Detection | None
     stat: float | None
@@ -115,13 +114,10 @@ class Detector:
         stat = None
         if cfg.stat_every and self._t % cfg.stat_every == 0 and self._stat_defined():
             stat = self.statistic()
-        return StepResult(
-            t=self._t,
-            detection=detection,
-            stat=stat,
-            curves_stored=sum(len(st.records) for st in self.states),
-            curves_evaluated=evals,
-        )
+        stored = 0
+        for st in self.states:
+            stored += len(st.records)
+        return StepResult(self._t, detection, stat, stored, evals)
 
     def _stat_defined(self) -> bool:
         need = 1 if self.config.theta0 is not None else 2

@@ -10,14 +10,13 @@ the threshold decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import FamilySpec
 from .pruning import PruneState, curve_m
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Result of one threshold check.
 
     ``changed`` implies ``stat >= threshold``; otherwise either the prefix
@@ -95,11 +94,4 @@ def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome
     c.transcendental_calls += evals * spec.transcendental_cost * (1 if known else 2)
     if pooled is not None:
         c.transcendental_calls += spec.transcendental_cost
-    return CheckOutcome(
-        changed=hit_tau is not None,
-        tau_low=hit_tau,
-        t_now=T,
-        stat=hit_stat,
-        curves_evaluated=evals,
-        bound_used=bound2,
-    )
+    return CheckOutcome(hit_tau is not None, hit_tau, T, hit_stat, evals, bound2)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from streamcpd import Detector, DetectorConfig, FamilySpec
 from streamcpd.cli import main
 
 
@@ -144,6 +145,45 @@ def test_detect_infinite_stat_is_valid_json(tmp_path, capsys):
     assert '"stat": 1e999' in out
     events = [_strict_json(line) for line in out.splitlines()]
     assert events[-1]["stat"] == math.inf
+
+
+# quiet, an up shift, a down shift, then a value whose statistic overflows
+_EVENT_STREAM = [0.1 * (-1) ** i for i in range(12)] + [3.0] * 6 + [-3.0] * 14 + [0.2, 1e308]
+_EVENT_ARGS = ["detect", "--family", "gauss-mean", "--theta0", "0", "--direction", "both",
+               "--threshold", "10", "--stat-every", "3", "--no-stop"]
+
+
+def _expected_event(res):
+    event = {"t": res.t, "curves": res.curves_stored, "evaluated": res.curves_evaluated}
+    if res.detection is not None:
+        event.update(detect=True, tau_low=res.detection.tau_low, stat=res.detection.stat,
+                     direction=res.detection.direction_hit.name.lower())
+    elif res.stat is not None:
+        event["stat"] = res.stat
+    return event
+
+
+def test_detect_events_match_detector_steps(tmp_path, capsys):
+    det = Detector(DetectorConfig(FamilySpec.gauss_mean(), theta0=0.0, threshold=10.0,
+                                  direction="both", stat_every=3, stop_on_detect=False))
+    expected = [_expected_event(det.step(x)) for x in _EVENT_STREAM]
+    p = tmp_path / "in.txt"
+    p.write_text("".join(f"{x!r}\n" for x in _EVENT_STREAM))
+    out_path = tmp_path / "events.ndjson"
+    code, out, _ = run_cli([*_EVENT_ARGS, "--input", str(p), "--output", str(out_path)], capsys)
+    assert code == 0 and out == ""
+    written = out_path.read_text()
+    proc = subprocess.run([sys.executable, "-m", "streamcpd.cli", *_EVENT_ARGS, "--input", str(p)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == written
+
+    assert written.endswith("\n")
+    lines = written.splitlines()
+    assert [list(_strict_json(line).items()) for line in lines] == [list(e.items()) for e in expected]
+    # every branch of the formatter: plain, stat, detection up/down, 1e999
+    kinds = {("detect" in e, e.get("direction"), "stat" in e) for e in expected}
+    assert {(False, None, False), (False, None, True), (True, "up", True), (True, "down", True)} <= kinds
+    assert lines[-1].endswith('"stat": 1e999, "direction": "up"}')
 
 
 @pytest.mark.parametrize("flags, text", [
