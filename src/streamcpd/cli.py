@@ -4,28 +4,22 @@
 are comments) and emits one NDJSON event per step.  Exit codes: 0 clean end
 of stream, 1 I/O error, 2 malformed input or bad value (line reported),
 3 detection with stop-on-detect enabled, 4 calibration non-convergence.
+
+``detect`` runs on the standard library alone; the other subcommands import
+`bench` and `simulate`, and with them numpy and scipy, when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
 
-from .bench import (
-    CalibrationResult,
-    DelayRun,
-    calibrate_threshold,
-    counter_profile,
-    delay_experiment,
-    write_counter_csv,
-    write_delay_csv,
-)
 from .detector import Detector, DetectorConfig
 from .errors import CalibrationError, StreamCpdError
 from .families import FamilyKind, FamilySpec
-from .simulate import Scenario, generate
 
 _FAMILY_CHOICES = [k.value for k in FamilyKind]
 
@@ -81,7 +75,21 @@ def _build_config(args, parser: argparse.ArgumentParser, stop_on_detect: bool = 
 
 
 def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r")
+    # UTF-8, with undecodable bytes kept as lone surrogates: such a line then
+    # fails float() and is rejected by number (see _bad_line)
+    if path != "-":
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    return sys.stdin
+
+
+def _bad_line(line: str) -> str:
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        return f"not valid UTF-8: {line.encode(errors='surrogateescape')!r}"
+    return f"not a number: {line!r}"
 
 
 def _write_output(path: str, write) -> int:
@@ -130,7 +138,7 @@ def _detect_lines(detector: Detector, fin, fout) -> int:
         try:
             x = float(line)
         except ValueError:
-            print(f"error: line {lineno}: not a number: {line!r}", file=sys.stderr)
+            print(f"error: line {lineno}: {_bad_line(line)}", file=sys.stderr)
             return 2
         try:
             t, detection, stat, curves, evaluated = step(x)
@@ -171,7 +179,7 @@ def run_detect(args, parser: argparse.ArgumentParser) -> int:
 # ------------------------------------------------------------------
 
 
-def _calibration_json(res: CalibrationResult) -> str:
+def _calibration_json(res) -> str:
     parts = [
         f'"threshold": {_fmt17(res.threshold)}',
         f'"achieved_arl": {_fmt17(res.achieved_arl)}',
@@ -184,6 +192,8 @@ def _calibration_json(res: CalibrationResult) -> str:
 
 
 def run_calibrate(args, parser: argparse.ArgumentParser) -> int:
+    from .bench import calibrate_threshold
+
     # threshold is calibrated, not supplied; feed a placeholder to the config
     args.threshold = 1.0
     config = _build_config(args, parser)
@@ -204,7 +214,9 @@ def run_calibrate(args, parser: argparse.ArgumentParser) -> int:
 # ------------------------------------------------------------------
 
 
-def _build_scenario(args, parser: argparse.ArgumentParser) -> Scenario:
+def _build_scenario(args, parser: argparse.ArgumentParser):
+    from .simulate import Scenario
+
     spec = _build_spec(args, parser)
     theta_post = args.theta_post if args.theta_post is not None else args.theta_pre
     try:
@@ -221,6 +233,8 @@ def _build_scenario(args, parser: argparse.ArgumentParser) -> Scenario:
 
 
 def run_simulate(args, parser: argparse.ArgumentParser) -> int:
+    from .simulate import generate
+
     scenario = _build_scenario(args, parser)
     try:
         stream = generate(scenario)
@@ -236,6 +250,8 @@ def run_simulate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def run_bench(args, parser: argparse.ArgumentParser) -> int:
+    from .bench import DelayRun, counter_profile, delay_experiment, write_counter_csv, write_delay_csv
+
     config = _build_config(args, parser)
     scenario = _build_scenario(args, parser)
     try:

@@ -21,18 +21,19 @@ Conventions fixed here:
 Every family is one row of ``_FAMILIES``: a builder that takes the family's
 extra parameter (binomial trials, gamma shape) and returns its closed forms,
 which `FamilySpec` binds once at construction.
+
+Nothing here imports numpy or scipy at module load: the detector needs only
+`math`.  The inverse CDFs import scipy when first called and `suff_arr`
+imports numpy, so only the simulation and Monte Carlo paths pay for them.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
-from scipy import stats
-from scipy.special import gammaincinv, ndtri
 
 from .errors import (
     DegenerateSegmentError,
@@ -42,6 +43,11 @@ from .errors import (
 )
 
 _INF = float("inf")
+
+
+def _scipy(name: str):
+    """``scipy.<name>``, imported at its first use."""
+    return importlib.import_module(f"scipy.{name}")
 
 
 class FamilyKind(enum.Enum):
@@ -79,8 +85,7 @@ class _Forms(NamedTuple):
     mean_suff: Callable[[float], float]
     suff: Callable[[float], float]
     conjugate: Callable[[float], float]
-    conjugate_arr: Callable[[np.ndarray], np.ndarray]
-    inverse_cdf: Callable[[float, np.ndarray], np.ndarray]
+    inverse_cdf: Callable  # (theta, uniforms array) -> observations array
 
 
 def _gauss_mean(_) -> _Forms:
@@ -96,8 +101,7 @@ def _gauss_mean(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=lambda g: g * g / 2.0,
-        conjugate_arr=lambda g: g * g / 2.0,
-        inverse_cdf=lambda t, u: t + ndtri(u),
+        inverse_cdf=lambda t, u: t + _scipy("special").ndtri(u),
     )
 
 
@@ -116,11 +120,6 @@ def _gauss_var(_) -> _Forms:
             )
         return -0.5 * (1.0 + math.log(gbar))
 
-    def conjugate_arr(g):
-        if np.any(g <= 0):
-            raise DegenerateSegmentError("non-positive mean for gauss-var")
-        return -0.5 * (1.0 + np.log(g))
-
     return _Forms(
         (0.0, _INF), 1, False,
         alpha=lambda t: -1.0 / (2.0 * t),
@@ -128,8 +127,7 @@ def _gauss_var(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
-        conjugate_arr=conjugate_arr,
-        inverse_cdf=lambda t, u: np.sqrt(t) * ndtri(u),
+        inverse_cdf=lambda t, u: math.sqrt(t) * _scipy("special").ndtri(u),
     )
 
 
@@ -146,12 +144,6 @@ def _poisson(_) -> _Forms:
             return 0.0
         return gbar * math.log(gbar) - gbar
 
-    def conjugate_arr(g):
-        if np.any(g < 0):
-            raise MeanRangeError("negative mean for poisson")
-        safe = np.where(g > 0, g, 1.0)
-        return np.where(g > 0, g * np.log(safe) - g, 0.0)
-
     return _Forms(
         (0.0, _INF), 1, True,
         alpha=math.log,
@@ -159,8 +151,7 @@ def _poisson(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
-        conjugate_arr=conjugate_arr,
-        inverse_cdf=lambda t, u: stats.poisson.ppf(u, t),
+        inverse_cdf=lambda t, u: _scipy("stats").poisson.ppf(u, t),
     )
 
 
@@ -180,14 +171,6 @@ def _binomial(n) -> _Forms:
             return 0.0
         return gbar * math.log(gbar / (n - gbar)) + n * math.log((n - gbar) / n)
 
-    def conjugate_arr(g):
-        if np.any((g < 0) | (g > n)):
-            raise MeanRangeError(f"mean outside [0, {n}] for binomial")
-        inner = (g > 0) & (g < n)
-        gs = np.where(inner, g, 0.5 * n)
-        val = gs * np.log(gs / (n - gs)) + n * np.log((n - gs) / n)
-        return np.where(inner, val, 0.0)
-
     return _Forms(
         (0.0, 1.0), 2, True,
         alpha=lambda t: math.log(t / (1.0 - t)),
@@ -195,8 +178,7 @@ def _binomial(n) -> _Forms:
         mean_suff=lambda t: n * t,
         suff=suff,
         conjugate=conjugate,
-        conjugate_arr=conjugate_arr,
-        inverse_cdf=lambda t, u: stats.binom.ppf(u, n, t),
+        inverse_cdf=lambda t, u: _scipy("stats").binom.ppf(u, n, t),
     )
 
 
@@ -216,11 +198,6 @@ def _gamma(kk) -> _Forms:
             )
         return -kk - kk * math.log(gbar / kk)
 
-    def conjugate_arr(g):
-        if np.any(g <= 0):
-            raise DegenerateSegmentError("non-positive mean for gamma")
-        return -kk - kk * np.log(g / kk)
-
     return _Forms(
         (0.0, _INF), 1, False,
         alpha=lambda t: -1.0 / t,
@@ -228,8 +205,7 @@ def _gamma(kk) -> _Forms:
         mean_suff=lambda t: kk * t,
         suff=suff,
         conjugate=conjugate,
-        conjugate_arr=conjugate_arr,
-        inverse_cdf=lambda t, u: t * gammaincinv(kk, u),  # scale parametrization
+        inverse_cdf=lambda t, u: t * _scipy("special").gammaincinv(kk, u),  # scale parametrization
     )
 
 
@@ -329,11 +305,9 @@ class FamilySpec:
         self._require_domain(theta)
         return self._forms.mean_suff(theta)
 
-    def suff_arr(self, x: np.ndarray) -> np.ndarray:
+    def suff_arr(self, x):
         """`suff` over an array, with the same support validation."""
+        import numpy as np
+
         suff = self.suff
         return np.array([suff(v) for v in np.asarray(x, dtype=float).tolist()], dtype=float)
-
-    def conjugate_arr(self, g: np.ndarray) -> np.ndarray:
-        """Elementwise A(g) on an array, same boundary conventions as `conjugate`."""
-        return self._forms.conjugate_arr(np.asarray(g, dtype=float))

@@ -12,7 +12,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Direction, FamilySpec
+from streamcpd.errors import DegenerateSegmentError, MeanRangeError
+from streamcpd.families import Direction, FamilyKind, FamilySpec
+
+
+def _gauss_var_arr(_, g):
+    if np.any(g <= 0):
+        raise DegenerateSegmentError("non-positive mean for gauss-var")
+    return -0.5 * (1.0 + np.log(g))
+
+
+def _poisson_arr(_, g):
+    if np.any(g < 0):
+        raise MeanRangeError("negative mean for poisson")
+    safe = np.where(g > 0, g, 1.0)
+    return np.where(g > 0, g * np.log(safe) - g, 0.0)
+
+
+def _binomial_arr(spec, g):
+    n = spec.trials
+    if np.any((g < 0) | (g > n)):
+        raise MeanRangeError(f"mean outside [0, {n}] for binomial")
+    inner = (g > 0) & (g < n)
+    gs = np.where(inner, g, 0.5 * n)
+    val = gs * np.log(gs / (n - gs)) + n * np.log((n - gs) / n)
+    return np.where(inner, val, 0.0)
+
+
+def _gamma_arr(spec, g):
+    kk = spec.shape
+    if np.any(g <= 0):
+        raise DegenerateSegmentError("non-positive mean for gamma")
+    return -kk - kk * np.log(g / kk)
+
+
+_CONJUGATE_ARR = {
+    FamilyKind.GAUSS_MEAN: lambda _, g: g * g / 2.0,
+    FamilyKind.GAUSS_VAR: _gauss_var_arr,
+    FamilyKind.POISSON: _poisson_arr,
+    FamilyKind.BINOMIAL: _binomial_arr,
+    FamilyKind.GAMMA: _gamma_arr,
+}
+
+
+def conjugate_arr(spec: FamilySpec, g) -> np.ndarray:
+    """Elementwise A(g) on an array, same boundary conventions as `spec.conjugate`."""
+    return _CONJUGATE_ARR[spec.kind](spec, np.asarray(g, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -33,7 +78,7 @@ def _masked_conjugate(spec: FamilySpec, g: np.ndarray, mask: np.ndarray) -> np.n
     # evaluate A only where mask holds; off-mask entries never touch the
     # family's domain checks
     safe = np.where(mask, g, 1.0)
-    return np.where(mask, spec.conjugate_arr(safe), 0.0)
+    return np.where(mask, conjugate_arr(spec, safe), 0.0)
 
 
 def _all_m(spec: FamilySpec, P: np.ndarray, T: int, known, sign: int):
@@ -59,7 +104,7 @@ def _all_m(spec: FamilySpec, P: np.ndarray, T: int, known, sign: int):
     mask = (g_suf - g_pre) * sign > 0
     a_pre = _masked_conjugate(spec, g_pre, mask)
     a_suf = _masked_conjugate(spec, g_suf, mask)
-    a_all = spec.conjugate_arr(np.array([P[T] / T]))[0] if mask.any() else 0.0
+    a_all = conjugate_arr(spec, np.array([P[T] / T]))[0] if mask.any() else 0.0
     m = np.where(mask, taus * a_pre + n_suf * a_suf - T * a_all, 0.0)
     return taus, np.maximum(m, 0.0)
 

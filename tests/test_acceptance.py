@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import naive_q_path
 from streamcpd import (
     DelayRun,
     Detector,
@@ -26,7 +27,6 @@ from streamcpd import (
     update,
 )
 from streamcpd.bench import run_length
-from streamcpd.oracle import naive_q_path
 from streamcpd.maxima import attach_bounds, check
 from streamcpd.pruning import curve_m
 

@@ -1,6 +1,8 @@
 """The public API: the exported names, and the names the benchmark imports."""
 
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -31,9 +33,7 @@ PUBLIC = [
     "delay_experiment",
     "first_detection",
     "generate",
-    "grid_q",
     "mean_delay",
-    "naive_q",
     "new_state",
     "q_full",
     "step_states",
@@ -45,6 +45,18 @@ def test_all_is_pinned():
     assert sorted(streamcpd.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(streamcpd, name), name
+
+
+def test_lazy_exports_resolve():
+    listed = dir(streamcpd)
+    for name in streamcpd.__all__:
+        value = getattr(streamcpd, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        streamcpd.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from streamcpd import no_such_name  # noqa: F401
 
 
 def test_benchmark_imports():
@@ -89,6 +101,64 @@ def test_family_spec_pickles():
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
         assert back.conjugate(0.7) == spec.conjugate(0.7)
+
+
+def test_detector_config_pickles():
+    for theta0 in (0.5, None):
+        config = DetectorConfig(FamilySpec.binomial(3), theta0, 12.5, "down", stat_every=4)
+        back = pickle.loads(pickle.dumps(config))
+        assert back == config and back.spec.suff(2.0) == 2.0
+
+
+# A fresh interpreter: `detect` and `--help` must not load numpy or scipy, and
+# `simulate` must still bring scipy in when it first draws.
+_HYGIENE = """
+import sys
+import streamcpd
+import streamcpd.cli
+assert streamcpd.Detector is streamcpd.cli.Detector and streamcpd.DetectorConfig and streamcpd.FamilyKind
+inp, out = sys.argv[1:3]
+with open(inp, "w") as fh:
+    fh.write("1\\n2\\n1\\n3\\n")
+for family in (["gauss-mean"], ["gauss-var"], ["poisson"], ["binomial", "--trials", "4"],
+               ["gamma", "--shape", "2"]):
+    argv = ["detect", "--family", *family, "--theta0", "unknown", "--threshold", "50",
+            "--stat-every", "1", "--input", inp, "--output", out]
+    assert streamcpd.cli.main(argv) == 0
+    assert len(open(out).read().splitlines()) == 4
+try:
+    streamcpd.cli.main(["--help"])
+except SystemExit as e:
+    assert e.code == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_detect_loads_no_numpy_or_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _HYGIENE, str(tmp_path / "in.txt"), str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_simulate_in_a_fresh_process_imports_scipy(tmp_path):
+    from streamcpd import Scenario, generate
+
+    code = (
+        "import sys, streamcpd.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert streamcpd.cli.main(argv.split()) == 0\n"
+        "assert 'scipy.stats' in sys.modules and 'scipy.special' in sys.modules\n"
+    )
+    cases = [(FamilySpec.poisson(), "--family poisson"), (FamilySpec.gamma(2.0), "--family gamma --shape 2")]
+    argvs = [f"simulate {flags} --theta-pre 1.5 --length 20 --seed 4 --output {tmp_path / str(i)}"
+             for i, (_, flags) in enumerate(cases)]
+    proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for i, (spec, _) in enumerate(cases):
+        want = generate(Scenario(spec, 1.5, 1.5, 0, 20, 4))
+        got = [float(v) for v in (tmp_path / str(i)).read_text().split()]
+        assert got == want.tolist()
 
 
 # The result types are named tuples: perfbench/tracing.py builds StepResult by

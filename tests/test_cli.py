@@ -129,6 +129,31 @@ def test_detect_rejected_value_exits_2(tmp_path, capsys, flags, text):
     assert len(out.splitlines()) == 1
 
 
+# bytes that are not UTF-8 on line 3; a comment line with such bytes is skipped
+_NON_UTF8 = b"1\n# caf\xe9\n2\n\xff\xfe1\n3\n"
+_NON_UTF8_ARGS = ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "10"]
+
+
+def test_detect_rejects_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(_NON_UTF8)
+    code, out, err = run_cli([*_NON_UTF8_ARGS, "--input", str(p)], capsys)
+    assert code == 2
+    assert err == "error: line 4: not valid UTF-8: b'\\xff\\xfe1'\n"
+    assert [_strict_json(line)["t"] for line in out.splitlines()] == [1, 2]
+
+
+def test_detect_rejects_non_utf8_stdin():
+    # strict stdin decoding, whatever the locale: the case that used to end
+    # in a UnicodeDecodeError traceback
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "streamcpd.cli", *_NON_UTF8_ARGS], input=_NON_UTF8,
+                          capture_output=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: line 4: not valid UTF-8: b'\\xff\\xfe1'\n"
+    assert [_strict_json(line)["t"] for line in proc.stdout.decode().splitlines()] == [1, 2]
+
+
 def _strict_json(line):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

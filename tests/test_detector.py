@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracle import naive_q_path
 from streamcpd import (
     Detector,
     DetectorConfig,
@@ -13,7 +14,6 @@ from streamcpd import (
     InsufficientDataError,
     SupportError,
 )
-from streamcpd.oracle import naive_q_path
 
 GM = FamilySpec.gauss_mean()
 PO = FamilySpec.poisson()

@@ -180,15 +180,6 @@ def test_conjugate_convex_and_bregman_nonneg(spec):
             assert gap > 0
 
 
-@pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind.value)
-def test_conjugate_arr_matches_scalar(spec):
-    rng = np.random.default_rng(11)
-    gs = np.array([spec.mean_suff(random_theta(spec, rng)) for _ in range(40)])
-    arr = spec.conjugate_arr(gs)
-    for g, v in zip(gs, arr):
-        assert v == spec.conjugate(float(g))
-
-
 # ------------------------------------------------------------------
 # directional segment statistic
 # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from streamcpd import Direction, FamilySpec, grid_q, naive_q
-from streamcpd.oracle import naive_q_path
+from oracle import conjugate_arr, grid_q, naive_q, naive_q_path
+from streamcpd import Direction, FamilySpec
+from test_families import ALL, random_theta
 
 GM = FamilySpec.gauss_mean()
 PO = FamilySpec.poisson()
@@ -116,3 +117,17 @@ def test_grid_q_converges_to_naive(spec, theta0, gen):
 def test_grid_q_rejects_off_side_points():
     with pytest.raises(ValueError):
         grid_q(GM, 0.0, Direction.UP, [1.0], [-0.5, 0.5])
+
+
+# ------------------------------------------------------------------
+# conjugate_arr
+# ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind.value)
+def test_conjugate_arr_matches_scalar(spec):
+    rng = np.random.default_rng(11)
+    gs = np.array([spec.mean_suff(random_theta(spec, rng)) for _ in range(40)])
+    arr = conjugate_arr(spec, gs)
+    for g, v in zip(gs, arr):
+        assert v == spec.conjugate(float(g))

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import naive_q, naive_q_path
 from streamcpd import (
     Direction,
     FamilySpec,
     ParamDomainError,
-    naive_q,
     new_state,
     q_full,
     update,
 )
-from streamcpd.oracle import naive_q_path
 from streamcpd.pruning import CurveRecord
 
 GM = FamilySpec.gauss_mean()
