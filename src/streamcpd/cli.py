@@ -12,6 +12,7 @@ of stream, 1 I/O error, 2 malformed input or bad value (line reported),
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
 import os
@@ -79,6 +80,8 @@ def _open_in(path: str):
     # fails float() and is rejected by number (see _bad_line)
     if path != "-":
         return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    if sys.stdin is None:  # started with file descriptor 0 closed
+        raise OSError(errno.EBADF, "standard input is closed")
     if isinstance(sys.stdin, io.TextIOWrapper):
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     return sys.stdin
@@ -100,7 +103,12 @@ def _write_output(path: str, write) -> int:
     fails (a closed pipe included).
     """
     try:
-        fout = sys.stdout if path == "-" else open(path, "w")
+        if path != "-":
+            fout = open(path, "w")
+        elif sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
+        else:
+            fout = sys.stdout
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return 1

@@ -23,8 +23,11 @@ extra parameter (binomial trials, gamma shape) and returns its closed forms,
 which `FamilySpec` binds once at construction.
 
 Nothing here imports numpy or scipy at module load: the detector needs only
-`math`.  The inverse CDFs import scipy when first called and `suff_arr`
-imports numpy, so only the simulation and Monte Carlo paths pay for them.
+`math`.  The inverse CDFs import numpy and `scipy.special` when first called
+and `suff_arr` imports numpy, so only the simulation and Monte Carlo paths
+pay for them.  The Poisson and binomial inverse CDFs are an exact search on
+the CDFs `scipy.special` provides (`_search_quantile`); `scipy.stats` is
+never imported.
 """
 
 from __future__ import annotations
@@ -43,11 +46,55 @@ from .errors import (
 )
 
 _INF = float("inf")
+_TWO53 = float(2**53)  # integers past this are not all exact floats
 
 
-def _scipy(name: str):
-    """``scipy.<name>``, imported at its first use."""
-    return importlib.import_module(f"scipy.{name}")
+def _special():
+    """``scipy.special``, imported at its first use."""
+    return importlib.import_module("scipy.special")
+
+
+def _search_quantile(cdf, u, mean: float, sd: float, top: float):
+    """Smallest integer k in [0, top] with ``cdf(k) >= u``, for each uniform u.
+
+    Inversion by search (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. III).  From the normal-approximation guess
+    floor(mean + sd * ndtri(u)), probes at doubling distances from the guess
+    bracket the answer and bisection closes the bracket, so a draw costs
+    O(log |guess error|) CDF evaluations.  NaN where the CDF is NaN or the
+    answer would reach 2**53.
+    """
+    import numpy as np
+
+    top = min(top, _TWO53)
+    # cdf is never called at top or -1: every probe after this one lies
+    # strictly inside the bracket
+    k = np.minimum(np.maximum(np.floor(mean + sd * _special().ndtri(u)), 0.0), top - 1.0)
+    c = cdf(k)
+    # bracket lo < answer <= hi: cdf(lo) < u with cdf(-1) = 0, and cdf(hi) >= u,
+    # assumed for hi = top: cdf(n) = 1 for binomial, and a Poisson answer of
+    # 2**53 becomes NaN at the end
+    hit = c >= u
+    out = np.where(hit, k, top)
+    lo = np.where(hit, -1.0, k)
+    out[np.isnan(c)] = np.nan
+    idx = np.flatnonzero(out - lo > 1.0)
+    u, k, lo, hi = u[idx], k[idx], lo[idx], out[idx]
+    w = 1.0
+    while idx.size:
+        # the midpoint, held within w of the guess: a doubling step until
+        # the bracket fits inside [k - w, k + w], bisection after
+        p = np.minimum(np.maximum(np.floor(0.5 * (lo + hi)), k - w), k + w)
+        hit = cdf(p) >= u
+        hi = np.where(hit, p, hi)
+        lo = np.where(hit, lo, p)
+        w *= 2.0
+        wide = hi - lo > 1.0
+        if not wide.all():
+            out[idx] = hi
+            idx, u, k, lo, hi = idx[wide], u[wide], k[wide], lo[wide], hi[wide]
+    out[out >= _TWO53] = np.nan
+    return out
 
 
 class FamilyKind(enum.Enum):
@@ -101,7 +148,7 @@ def _gauss_mean(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=lambda g: g * g / 2.0,
-        inverse_cdf=lambda t, u: t + _scipy("special").ndtri(u),
+        inverse_cdf=lambda t, u: t + _special().ndtri(u),
     )
 
 
@@ -127,7 +174,7 @@ def _gauss_var(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
-        inverse_cdf=lambda t, u: math.sqrt(t) * _scipy("special").ndtri(u),
+        inverse_cdf=lambda t, u: math.sqrt(t) * _special().ndtri(u),
     )
 
 
@@ -151,13 +198,15 @@ def _poisson(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
-        inverse_cdf=lambda t, u: _scipy("stats").poisson.ppf(u, t),
+        inverse_cdf=lambda t, u: _search_quantile(
+            lambda k: _special().pdtr(k, t), u, t, math.sqrt(t), _INF),
     )
 
 
 def _binomial(n) -> _Forms:
-    if n is None or n < 1:
-        raise ValueError("binomial family requires trials >= 1")
+    if n is None or not (1 <= n <= _TWO53 and n == math.floor(n)):
+        raise ValueError("binomial family requires integer trials from 1 to 2**53")
+    n = int(n)
 
     def suff(x):
         if not math.isfinite(x) or x < 0 or x > n or x != math.floor(x):
@@ -178,13 +227,19 @@ def _binomial(n) -> _Forms:
         mean_suff=lambda t: n * t,
         suff=suff,
         conjugate=conjugate,
-        inverse_cdf=lambda t, u: _scipy("stats").binom.ppf(u, n, t),
+        # P(X <= k) = 1 - I_t(k + 1, n - k) for k < n, I the regularized
+        # incomplete beta function.  betaincc computes it with relative
+        # precision in both tails, as scipy.stats' binomial CDF does; bdtr is
+        # off by 1e-3 at n = 1e7 and NaN past 2**31, and 1 - betainc rounds
+        # lower-tail probabilities to multiples of 2**-53
+        inverse_cdf=lambda t, u: _search_quantile(
+            lambda k: _special().betaincc(k + 1.0, n - k, t), u, n * t, math.sqrt(n * t * (1.0 - t)), n),
     )
 
 
 def _gamma(kk) -> _Forms:
-    if kk is None or not kk > 0:
-        raise ValueError("gamma family requires shape > 0")
+    if kk is None or not 0 < kk < _INF:
+        raise ValueError("gamma family requires a finite shape > 0")
 
     def suff(x):
         if not (x > 0) or not math.isfinite(x):
@@ -205,7 +260,7 @@ def _gamma(kk) -> _Forms:
         mean_suff=lambda t: kk * t,
         suff=suff,
         conjugate=conjugate,
-        inverse_cdf=lambda t, u: t * _scipy("special").gammaincinv(kk, u),  # scale parametrization
+        inverse_cdf=lambda t, u: t * _special().gammaincinv(kk, u),  # scale parametrization
     )
 
 

@@ -4,7 +4,10 @@ All randomness flows from the scenario seed: a PCG64 generator produces
 uniforms on the open unit interval (53-bit integers scaled), which are mapped
 through inverse CDFs.  Equal seeds therefore give bit-identical streams
 across platforms, and every sampler is a documented closed procedure rather
-than a library-internal rejection method.
+than a library-internal rejection method.  The inverse CDFs (each family's
+``inverse_cdf``) use only ``scipy.special``: closed-form quantiles for the
+continuous families, an exact search on ``pdtr``/``betaincc`` for Poisson and
+binomial draws.
 """
 
 from __future__ import annotations

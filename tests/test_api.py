@@ -111,7 +111,7 @@ def test_detector_config_pickles():
 
 
 # A fresh interpreter: `detect` and `--help` must not load numpy or scipy, and
-# `simulate` must still bring scipy in when it first draws.
+# `simulate` and `calibrate` bring in `scipy.special` alone when they first draw.
 _HYGIENE = """
 import sys
 import streamcpd
@@ -143,22 +143,30 @@ def test_detect_loads_no_numpy_or_scipy(tmp_path):
 
 def test_simulate_in_a_fresh_process_imports_scipy(tmp_path):
     from streamcpd import Scenario, generate
+    from streamcpd.cli import main
 
     code = (
         "import sys, streamcpd.cli\n"
         "for argv in sys.argv[1:]:\n"
         "    assert streamcpd.cli.main(argv.split()) == 0\n"
-        "assert 'scipy.stats' in sys.modules and 'scipy.special' in sys.modules\n"
+        "assert 'scipy.special' in sys.modules and 'scipy.stats' not in sys.modules\n"
     )
-    cases = [(FamilySpec.poisson(), "--family poisson"), (FamilySpec.gamma(2.0), "--family gamma --shape 2")]
-    argvs = [f"simulate {flags} --theta-pre 1.5 --length 20 --seed 4 --output {tmp_path / str(i)}"
-             for i, (_, flags) in enumerate(cases)]
-    proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
+    cases = [(FamilySpec.poisson(), "--family poisson", 1.5),
+             (FamilySpec.binomial(4), "--family binomial --trials 4", 0.3),
+             (FamilySpec.gamma(2.0), "--family gamma --shape 2", 1.5)]
+    argvs = [f"simulate {flags} --theta-pre {theta} --length 20 --seed 4 --output {tmp_path / str(i)}"
+             for i, (_, flags, theta) in enumerate(cases)]
+    calibrate = ("calibrate --family poisson --theta0 unknown --null-theta 1 --direction up "
+                 "--target-arl 100 --reps 50 --seed 1 --output")
+    proc = subprocess.run([sys.executable, "-c", code, *argvs, f"{calibrate} {tmp_path / 'cal'}"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    for i, (spec, _) in enumerate(cases):
-        want = generate(Scenario(spec, 1.5, 1.5, 0, 20, 4))
+    for i, (spec, _, theta) in enumerate(cases):
+        want = generate(Scenario(spec, theta, theta, 0, 20, 4))
         got = [float(v) for v in (tmp_path / str(i)).read_text().split()]
         assert got == want.tolist()
+    assert main(f"{calibrate} {tmp_path / 'here'}".split()) == 0
+    assert (tmp_path / "cal").read_text() == (tmp_path / "here").read_text()
 
 
 # The result types are named tuples: perfbench/tracing.py builds StepResult by

@@ -40,6 +40,8 @@ def test_detect_valid_flags(tmp_path, capsys):
     ["detect", "--family", "binomial", "--theta0", "0.5", "--threshold", "5"],
     ["detect", "--family", "binomial", "--trials", "0", "--theta0", "0.5", "--threshold", "5"],
     ["detect", "--family", "gamma", "--shape", "-1", "--theta0", "1", "--threshold", "5"],
+    ["detect", "--family", "binomial", "--trials", str(10**20), "--theta0", "0.5", "--threshold", "5"],
+    ["detect", "--family", "gamma", "--shape", "inf", "--theta0", "1", "--threshold", "5"],
     ["detect", "--family", "gauss-mean", "--theta0", "zero", "--threshold", "5"],
     ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "-1"],
 ])
@@ -152,6 +154,20 @@ def test_detect_rejects_non_utf8_stdin():
     assert proc.returncode == 2
     assert proc.stderr == b"error: line 4: not valid UTF-8: b'\\xff\\xfe1'\n"
     assert [_strict_json(line)["t"] for line in proc.stdout.decode().splitlines()] == [1, 2]
+
+
+@pytest.mark.parametrize("fd, argv, message", [
+    (0, _NON_UTF8_ARGS, "error: cannot open input: [Errno 9] standard input is closed\n"),
+    (1, ["simulate", "--family", "gauss-mean", "--theta-pre", "0", "--length", "3", "--seed", "1"],
+     "error: cannot open output: [Errno 9] standard output is closed\n"),
+], ids=["detect-stdin", "simulate-stdout"])
+def test_closed_standard_stream_exits_1_without_traceback(fd, argv, message):
+    # the child starts with the descriptor closed, as after `<&-` or `>&-`;
+    # sys.stdin / sys.stdout are then None
+    proc = subprocess.run([sys.executable, "-m", "streamcpd.cli", *argv], stderr=subprocess.PIPE,
+                          text=True, preexec_fn=lambda: os.close(fd))
+    assert proc.returncode == 1
+    assert proc.stderr == message
 
 
 def _strict_json(line):

@@ -306,6 +306,13 @@ def test_spec_construction_errors():
         FamilySpec.binomial(0)
     with pytest.raises(ValueError):
         FamilySpec.gamma(-1.0)
+    # a trial count that is not an integer or past 2**53, or a shape that makes log(gbar / inf)
+    for trials in (2.5, 10**20, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"requires integer trials from 1 to 2\*\*53"):
+            FamilySpec.binomial(trials)
+    for shape in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="requires a finite shape > 0"):
+            FamilySpec.gamma(shape)
     with pytest.raises(ValueError):
         FamilySpec(GM.kind, trials=3)
     with pytest.raises(ValueError):

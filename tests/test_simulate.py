@@ -1,11 +1,15 @@
 """Deterministic generators: reproducibility and distributional sanity."""
 
 import re
+import time
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from streamcpd import FamilySpec, Scenario, generate
+from streamcpd.simulate import _open_uniforms
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -86,3 +90,72 @@ def test_scenario_validation():
 def test_non_finite_stream_names_theta(spec, theta_pre, theta_post, change_at, bad):
     with pytest.raises(ValueError, match=re.escape(f"theta={bad} gives non-finite")):
         generate(Scenario(spec, theta_pre, theta_post, change_at, 3, seed=1))
+
+
+# ------------------------------------------------------------------
+# the Poisson and binomial quantile: an exact search on scipy.special's CDFs,
+# checked against scipy.stats, which the library itself never imports
+# ------------------------------------------------------------------
+
+
+def _uniforms(n, seed):
+    return _open_uniforms(np.random.Generator(np.random.PCG64(seed)), n)
+
+
+_INTEGRAL = [(PO, theta) for theta in (1e-6, 0.5, 2.0, 33.0, 1e5)] + [
+    (FamilySpec.binomial(n), p) for n in (1, 3, 50, 10**6) for p in (1e-9, 0.3, 0.5, 0.99)]
+
+
+def _reference(spec, theta, u):
+    if spec.trials is None:
+        return scipy.stats.poisson.ppf(u, theta)
+    return scipy.stats.binom.ppf(u, spec.trials, theta)
+
+
+def _cdf(spec, theta, k):
+    if spec.trials is None:
+        return scipy.special.pdtr(k, theta)
+    return scipy.stats.binom.cdf(k, spec.trials, theta)
+
+
+@pytest.mark.parametrize("spec, theta", _INTEGRAL, ids=[f"{s.kind.value}{s.trials or ''}-{t:g}" for s, t in _INTEGRAL])
+def test_integral_quantile_equals_scipy_stats(spec, theta):
+    u = _uniforms(10**5, seed=17)
+    assert np.array_equal(spec.inverse_cdf(theta, u), _reference(spec, theta, u))
+
+
+@pytest.mark.parametrize("trials, theta", [(10**8, 0.5), (10**10, 0.3), (2**40, 1e-9)])
+def test_binomial_quantile_with_many_trials_equals_scipy_stats(trials, theta):
+    # scipy.special.bdtr is off by up to 0.1 at 1e8 trials and NaN past 2**31
+    u = _uniforms(2000, seed=19)
+    spec = FamilySpec.binomial(trials)
+    assert np.array_equal(spec.inverse_cdf(theta, u), _reference(spec, theta, u))
+
+
+_EXTREME = [(PO, theta) for theta in (1e-6, 2.0, 33.0, 1e5, 1e14)] + [
+    (FamilySpec.binomial(n), p) for n in (1, 50, 10**6) for p in (1e-9, 0.5, 0.99)]
+
+
+@pytest.mark.parametrize("spec, theta", _EXTREME, ids=[f"{s.kind.value}{s.trials or ''}-{t:g}" for s, t in _EXTREME])
+def test_integral_quantile_is_the_smallest_k_at_extreme_uniforms(spec, theta):
+    # the smallest and largest uniforms the generator draws; scipy.stats
+    # overshoots at the top one, where its CDF saturates at 1
+    u = np.array([2.0**-53, 1.0 - 2.0**-53])
+    k = spec.inverse_cdf(theta, u)
+    assert np.all(k == np.floor(k)) and np.all(k >= 0)
+    assert np.all(_cdf(spec, theta, k) >= u)
+    assert np.all((k == 0) | (_cdf(spec, theta, np.maximum(k - 1, 0)) < u))
+
+
+@pytest.mark.parametrize("spec", [PO, BI])
+def test_integral_quantile_of_no_uniforms_is_empty(spec):
+    assert spec.inverse_cdf(0.5, np.empty(0)).shape == (0,)
+    assert generate(Scenario(spec, 0.5, 0.5, 0, 0, seed=1)).shape == (0,)
+
+
+def test_poisson_draws_at_a_huge_mean_are_finite_and_fast():
+    # scipy.stats returns NaN here; the search needs O(log) CDF calls a draw
+    start = time.perf_counter()
+    x = generate(Scenario(PO, 1e12, 1e12, 0, 1000, seed=3))
+    assert time.perf_counter() - start < 1.0
+    assert np.all(np.isfinite(x)) and np.all(np.abs(x - 1e12) <= 1e7)
