@@ -106,6 +106,10 @@ _INTEGRAL = [(PO, theta) for theta in (1e-6, 0.5, 2.0, 33.0, 1e5)] + [
     (FamilySpec.binomial(n), p) for n in (1, 3, 50, 10**6) for p in (1e-9, 0.3, 0.5, 0.99)]
 
 
+def _ids(cases):
+    return [f"{spec.kind.value}{spec.trials or ''}-{theta:g}" for spec, theta in cases]
+
+
 def _reference(spec, theta, u):
     if spec.trials is None:
         return scipy.stats.poisson.ppf(u, theta)
@@ -118,7 +122,7 @@ def _cdf(spec, theta, k):
     return scipy.stats.binom.cdf(k, spec.trials, theta)
 
 
-@pytest.mark.parametrize("spec, theta", _INTEGRAL, ids=[f"{s.kind.value}{s.trials or ''}-{t:g}" for s, t in _INTEGRAL])
+@pytest.mark.parametrize("spec, theta", _INTEGRAL, ids=_ids(_INTEGRAL))
 def test_integral_quantile_equals_scipy_stats(spec, theta):
     u = _uniforms(10**5, seed=17)
     assert np.array_equal(spec.inverse_cdf(theta, u), _reference(spec, theta, u))
@@ -136,7 +140,7 @@ _EXTREME = [(PO, theta) for theta in (1e-6, 2.0, 33.0, 1e5, 1e14)] + [
     (FamilySpec.binomial(n), p) for n in (1, 50, 10**6) for p in (1e-9, 0.5, 0.99)]
 
 
-@pytest.mark.parametrize("spec, theta", _EXTREME, ids=[f"{s.kind.value}{s.trials or ''}-{t:g}" for s, t in _EXTREME])
+@pytest.mark.parametrize("spec, theta", _EXTREME, ids=_ids(_EXTREME))
 def test_integral_quantile_is_the_smallest_k_at_extreme_uniforms(spec, theta):
     # the smallest and largest uniforms the generator draws; scipy.stats
     # overshoots at the top one, where its CDF saturates at 1
