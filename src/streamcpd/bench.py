@@ -19,7 +19,7 @@ from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from .families import FamilySpec
 from .pruning import q_full, update
-from .simulate import Scenario, generate
+from .simulate import Scenario, generate, require_int
 
 
 def _child_seed(seed: int, rep: int) -> int:
@@ -44,26 +44,110 @@ def run_length(config: DetectorConfig, scenario: Scenario) -> int | None:
     return first_detection(config, generate(scenario))
 
 
+# steps per block of `stat_running_max`'s vector pass: its working memory is
+# about this many steps times the stored candidates per step, whatever the
+# stream's length
+_BLOCK = 1024
+
+
+def _conj_arr(conj, g: np.ndarray) -> np.ndarray:
+    """``conj`` over an array through the family's scalar form: ``np.log``
+    differs from ``math.log`` in the last bit on some inputs."""
+    return np.fromiter(map(conj, g.tolist()), float, len(g))
+
+
+def _curve_m_arr(state, conj, tau, cum_sum, T, St, sign, a_pre=None, pooled=None):
+    """`pruning.curve_m` over arrays of (candidate, step) pairs.
+
+    Each pair goes through the scalar form's expressions in its order, with
+    its clip, so every value equals the scalar one bit for bit.  ``state``
+    gives theta0 and the constants derived from it, ``sign`` the direction
+    of each pair.  With theta0 unknown every tau must be positive, and
+    ``a_pre`` holds A(cum_sum / tau) and ``pooled`` T A(St / T) per pair.
+    Returns the indices of the pairs whose segment mean is past the
+    pre-change mean, and their statistics; every other pair's is 0.
+    """
+    n = T - tau
+    g_seg = (St - cum_sum) / n
+    if state.theta0 is not None:
+        ok = np.flatnonzero((g_seg - state.g0) * sign > 0)
+        g = g_seg[ok]
+        m = n[ok] * (_conj_arr(conj, g) - (state.alpha0 * g - state.beta0))
+    else:
+        ok = np.flatnonzero((g_seg - cum_sum / tau) * sign > 0)
+        m = tau[ok] * a_pre[ok] + n[ok] * _conj_arr(conj, g_seg[ok]) - pooled[ok]
+    return ok, np.where(m > 0.0, m, 0.0)
+
+
+def _pop_steps(state, g: list[float]) -> np.ndarray:
+    """Run `update` over ``g``; entry tau is the step whose update removes
+    candidate tau, born at step tau + 1, or ``len(g) + 1`` if it stays.
+
+    The merge cascade and the null barrier only ever pop the newest stored
+    candidate, so the stored taus form a stack and the stored count after
+    each update says which of them left.
+    """
+    end = len(g)
+    pop = [end + 1] * end
+    recs = state.records
+    taus = []
+    for T, gi in enumerate(g, 1):
+        taus.append(T - 1)
+        update(state, gi)
+        while len(taus) > len(recs):
+            pop[taus.pop()] = T
+    return np.array(pop, dtype=np.int64)
+
+
 def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     """Running maximum of the doubled statistic after each step.
 
     The detector fires at the first step where this path reaches the
-    threshold, so one pass prices every threshold at once.
+    threshold, so one pass prices every threshold at once.  The path is
+    that of `update` and `q_full` after every step, bit for bit, computed in
+    two passes: `update` alone runs through the stream for each direction
+    and logs when each candidate leaves the stored set, then
+    `_curve_m_arr` evaluates every (stored candidate, step) pair,
+    `_BLOCK` steps at a time.
     """
     spec = config.spec
+    conj = spec.conjugate
     g_arr = spec.suff_arr(np.asarray(data, dtype=float))
+    end = len(g_arr)
+    g = g_arr.tolist()
     states = Detector(config).states
-    out = np.empty(len(g_arr))
-    run = 0.0
-    for i, gi in enumerate(g_arr.tolist()):
-        v = 0.0
-        for st in states:
-            update(st, gi)
-            v = max(v, 2.0 * q_full(st, spec)[0])
-        if v > run:
-            run = v
-        out[i] = run
-    return out
+    pops = [_pop_steps(st, g) for st in states]
+    del g
+    # prefix sums S[T] = g_1 + ... + g_T, accumulated left to right as
+    # `update` does
+    S = np.zeros(end + 1)
+    np.cumsum(g_arr, out=S[1:])
+    known = config.theta0 is not None
+    if not known:
+        # A(S_T / T): the pooled term at step T and the pre-change term of
+        # the candidate at tau = T
+        A = np.zeros(end + 1)
+        A[1:] = _conj_arr(conj, S[1:] / np.arange(1, end + 1))
+    q = np.zeros(end + 1)  # the statistic at step T, larger of the directions
+    for st, pop in zip(states, pops):
+        # candidates stored at the start of the block; with theta0 unknown
+        # the first (tau = 0) has no pre-change data and contributes 0
+        carry = np.zeros(0, dtype=np.int64)
+        for lo in range(1, end + 1, _BLOCK):
+            hi = min(lo + _BLOCK, end + 1)  # steps lo .. hi - 1
+            cand = np.concatenate([carry, np.arange(max(lo - 1, 0 if known else 1), hi - 1)])
+            last = pop[cand]
+            first = np.maximum(cand + 1, lo)
+            cnt = np.maximum(np.minimum(last, hi) - first, 0)
+            carry = cand[last > hi]
+            tau = np.repeat(cand, cnt)
+            T = np.arange(len(tau)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+            if known:
+                ok, m = _curve_m_arr(st, conj, tau, S[tau], T, S[T], st.sign)
+            else:
+                ok, m = _curve_m_arr(st, conj, tau, S[tau], T, S[T], st.sign, A[tau], T * A[T])
+            np.maximum.at(q, T[ok], m)
+    return 2.0 * np.maximum.accumulate(q[1:])
 
 
 @dataclass(frozen=True)
@@ -97,6 +181,8 @@ def calibrate_threshold(
     family than the detector analyses (e.g. a mean model fed squared
     Gaussian data).
     """
+    for name, value in (("target_arl", target_arl), ("reps", reps), ("seed", seed)):
+        require_int(name, value)
     if target_arl < 100:
         raise ValueError("target_arl must be at least 100")
     if reps < 50:
@@ -188,16 +274,14 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     largest count.  A step appends each row's newest candidate, runs the
     tail-merge cascade as a masked loop until no row merges, applies the
     known-theta0 null barrier as a mask, then evaluates every stored
-    candidate with the expressions of `pruning.curve_m`, its scalar form
-    (clipping at 0 cannot change a test against a positive threshold).  A stream leaves the lockstep at its first detection or
-    its end.
+    candidate with `_curve_m_arr`.  A stream leaves the lockstep at its
+    first detection or its end.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
-    Conjugates go through the family's scalar ``conjugate``: ``np.log``
-    differs from ``math.log`` in the last bit on some inputs.  With theta0
-    unknown, the conjugate of each prefix mean is taken once per step and
-    serves as the pooled term and, later, as the pre-change term.
+    With theta0 unknown, the conjugate of each prefix mean is taken once
+    per step and serves as the pooled term and, later, as the pre-change
+    term.
 
     On degenerate data (a segment mean the family rejects, as after
     prefix-sum cancellation) both paths raise the family's error, but not
@@ -222,7 +306,7 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
         np.cumsum(g, out=S[r, 1:len(g) + 1])
     A = np.empty_like(S)  # conjugates of the prefix means, theta0 unknown
     st0 = states[0]
-    a0, b0, g0 = st0.alpha0, st0.beta0, st0.g0
+    g0 = st0.g0
     n_dir = len(states)
     # rows come in blocks of n_dir per stream, in stream order; a stream
     # leaves with its whole block
@@ -279,21 +363,12 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
         rr, jj = np.nonzero(np.arange(first, cap) < cnt[:, None])
         jj += first
         ti, si = tau[rr, jj], cs[rr, jj]
-        n = T - ti
         if known:
-            gbar = (St[rr] - si) / n
-            ok = (gbar - g0) * sign[rr] > 0
-            gbar = gbar[ok]
-            c = np.fromiter(map(conj, gbar.tolist()), float, len(gbar))
-            m = n[ok] * (c - (a0 * gbar - b0))
+            ok, m = _curve_m_arr(st0, conj, ti, si, T, St[rr], sign[rr])
         else:
-            g_seg = (St[rr] - si) / n
-            ok = (g_seg - si / ti) * sign[rr] > 0
-            g_seg = g_seg[ok]
-            c = np.fromiter(map(conj, g_seg.tolist()), float, len(g_seg))
-            lr = lane[rr[ok]]
-            m = ti[ok] * A[lr, ti[ok]] + n[ok] * c - T * A[lr, T]
-        fired = lane[rr[ok][2.0 * m >= thr]]
+            lr = lane[rr]
+            ok, m = _curve_m_arr(st0, conj, ti, si, T, St[rr], sign[rr], A[lr, ti], T * A[lr, T])
+        fired = lane[rr[ok[2.0 * m >= thr]]]
         if fired.size:
             live[fired] = False
             for i in fired.tolist():
@@ -310,6 +385,7 @@ def delay_experiment(runs: list[DelayRun], reps: int) -> list[DelayRow]:
     run are stepped in lockstep, with detection times equal to
     `first_detection` on each replicate's stream.
     """
+    require_int("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     rows: list[DelayRow] = []

@@ -12,6 +12,7 @@ binomial draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ import numpy as np
 from .families import FamilySpec
 
 _TWO53 = float(2**53)
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,8 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        for name in ("change_at", "length", "seed"):
+            require_int(name, getattr(self, name))
         if not (0 <= self.change_at <= self.length):
             raise ValueError("need 0 <= change_at <= length")
         if self.seed < 0:

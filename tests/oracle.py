@@ -3,7 +3,9 @@
 Everything here maximises over every candidate changepoint by direct
 enumeration on raw prefix sums.  It shares the family closed forms but none
 of the pruned bookkeeping, so it stays an independent check of the streaming
-implementation.  O(T) per call; meant for desk-scale data only.
+implementation.  O(T) per call; meant for desk-scale data only.  The one
+exception is `scalar_running_max`, the step-by-step form of
+`bench.stat_running_max` that its batched passes must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from streamcpd.detector import Detector, DetectorConfig
 from streamcpd.errors import DegenerateSegmentError, MeanRangeError
 from streamcpd.families import Direction, FamilyKind, FamilySpec
+from streamcpd.pruning import q_full, update
 
 
 def _gauss_var_arr(_, g):
@@ -203,3 +207,22 @@ def grid_q(
         vals = (spec.alpha(t) - a0) * S - (spec.beta_fn(t) - b0) * n
         best = max(best, float(vals.max()))
     return best
+
+
+def scalar_running_max(config: DetectorConfig, data) -> np.ndarray:
+    """Running maximum of the doubled statistic after each step, by `update`
+    and `q_full` on every direction after every step."""
+    spec = config.spec
+    g_arr = spec.suff_arr(np.asarray(data, dtype=float))
+    states = Detector(config).states
+    out = np.empty(len(g_arr))
+    run = 0.0
+    for i, gi in enumerate(g_arr.tolist()):
+        v = 0.0
+        for st in states:
+            update(st, gi)
+            v = max(v, 2.0 * q_full(st, spec)[0])
+        if v > run:
+            run = v
+        out[i] = run
+    return out

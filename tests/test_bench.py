@@ -1,10 +1,12 @@
 """Run lengths, calibration, delay experiments and counter profiles."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracle import scalar_running_max
 from streamcpd import (
     DegenerateSegmentError,
     DelayRun,
@@ -19,6 +21,7 @@ from streamcpd import (
     mean_delay,
 )
 from streamcpd.bench import (
+    _BLOCK,
     _first_detections,
     run_length,
     stat_running_max,
@@ -29,6 +32,18 @@ from streamcpd.bench import (
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
 PO = FamilySpec.poisson()
+
+
+# (spec, theta_pre, theta_post) per family; binomial with one and three trials
+LANE_FAMILIES = [
+    (GM, 0.0, 1.0),
+    (GV, 1.0, 2.0),
+    (PO, 2.0, 3.5),
+    (FamilySpec.binomial(1), 0.3, 0.6),
+    (FamilySpec.binomial(3), 0.4, 0.2),
+    (FamilySpec.gamma(2.0), 1.0, 1.7),
+]
+LANE_IDS = ["gauss-mean", "gauss-var", "poisson", "binomial1", "binomial3", "gamma"]
 
 
 def test_run_length_censored_at_huge_threshold():
@@ -51,6 +66,52 @@ def test_first_detection_matches_running_max_crossing():
         crossed = np.nonzero(path >= thr)[0]
         want = int(crossed[0]) + 1 if len(crossed) else None
         assert first_detection(cfg, data) == want
+
+
+@pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
+def test_running_max_equals_scalar_reference(family):
+    spec, pre, post = LANE_FAMILIES[family]
+    streams = []
+    # three blocks of the vector pass, and one
+    for length in (2 * _BLOCK + 37, 300):
+        for change in (0, length // 2):
+            streams.append(generate(Scenario(spec, pre, post, change, length, seed=300 + family + change)))
+    streams += [streams[1][:k] for k in (0, 1, 2, 3)]
+    for known in (True, False):
+        for direction in ("up", "down", "both"):
+            cfg = DetectorConfig(spec, pre if known else None, 1.0, direction)
+            for s in streams:
+                got, want = stat_running_max(cfg, s), scalar_running_max(cfg, s)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_running_max_raises_on_a_degenerate_segment_like_scalar():
+    # x^2 = 1e20 then 1e-20: the prefix-sum difference of the second step
+    # cancels to 0.0, a degenerate gauss-var segment mean
+    cfg = DetectorConfig(GV, None, 20.0, "both")
+    bad = np.array([1e10, 1e-10, 1.0, 2.0])
+    for fn in (scalar_running_max, stat_running_max):
+        with pytest.raises(DegenerateSegmentError):
+            fn(cfg, bad)
+
+
+def test_running_max_memory_beyond_its_arrays_is_flat():
+    # the O(T) arrays (the sufficient statistics as floats and as a list,
+    # prefix sums, pop steps, per-step maxima, the path) take under 128 bytes
+    # a step; the per-pair arrays of the vector pass, about 70 bytes per
+    # stored candidate and step if unblocked, must not grow with T
+    cfg = DetectorConfig(GM, 0.0, 1.0, "up")
+    sizes = (10_000, 40_000)
+    peaks = []
+    for n in sizes:
+        data = generate(Scenario(GM, 0.0, 0.0, 0, n, seed=3))
+        tracemalloc.start()
+        try:
+            stat_running_max(cfg, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 128 * (sizes[1] - sizes[0])
 
 
 def test_run_length_monotone_in_threshold():
@@ -85,6 +146,16 @@ def test_calibrate_validates_inputs():
         calibrate_threshold(cfg, 300, reps=0, seed=1)
     with pytest.raises(ValueError):
         calibrate_threshold(DetectorConfig(PO, None, 1.0, "up"), 300, reps=60, seed=1)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("target_arl", (100.5, 50, 1)),
+    ("reps", (100, 50.5, 1)),
+    ("seed", (100, 50, 1.5)),
+])
+def test_calibrate_rejects_non_integer_sizes(field, args):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        calibrate_threshold(DetectorConfig(GM, 0.0, 1.0, "up"), *args)
 
 
 def test_calibrate_unknown_prechange_with_null_theta():
@@ -140,21 +211,11 @@ def test_delay_experiment_rejects_reps_below_one():
     for reps in (0, -3):
         with pytest.raises(ValueError, match="reps must be at least 1"):
             delay_experiment([run], reps)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        delay_experiment([run], 50.5)
 
 
-# (spec, theta_pre, theta_post) per family; binomial with one and three trials
-LANE_FAMILIES = [
-    (GM, 0.0, 1.0),
-    (GV, 1.0, 2.0),
-    (PO, 2.0, 3.5),
-    (FamilySpec.binomial(1), 0.3, 0.6),
-    (FamilySpec.binomial(3), 0.4, 0.2),
-    (FamilySpec.gamma(2.0), 1.0, 1.7),
-]
-
-
-@pytest.mark.parametrize("family", range(len(LANE_FAMILIES)),
-                         ids=["gauss-mean", "gauss-var", "poisson", "binomial1", "binomial3", "gamma"])
+@pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
 def test_lanes_equal_scalar_first_detection(family):
     spec, pre, post = LANE_FAMILIES[family]
     rng = np.random.default_rng(100 + family)

@@ -82,6 +82,21 @@ def test_scenario_validation():
         Scenario(PO, 1.0, 1.0, 0, 10, seed=-1)
 
 
+@pytest.mark.parametrize("field, args", [
+    ("change_at", (2.5, 10, 1)),
+    ("length", (0, 2.5, 1)),
+    ("seed", (0, 10, 1.5)),
+])
+def test_scenario_rejects_non_integer_sizes(field, args):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Scenario(GM, 0.0, 0.0, *args)
+
+
+def test_scenario_takes_numpy_integers():
+    a = generate(Scenario(GM, 0.0, 1.0, np.int64(5), np.int32(10), np.uint64(3)))
+    assert np.array_equal(a, generate(Scenario(GM, 0.0, 1.0, 5, 10, 3)))
+
+
 @pytest.mark.parametrize("spec, theta_pre, theta_post, change_at, bad", [
     (PO, 1e20, 1e20, 0, "1e+20"),  # the quantile map returns NaN
     (FamilySpec.gamma(1.0), 1e308, 1e308, 0, "1e+308"),  # the draws overflow to inf
