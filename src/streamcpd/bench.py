@@ -99,6 +99,26 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
     return np.array(pop, dtype=np.int64)
 
 
+def _block_pairs(pop: np.ndarray, first_tau: int):
+    """Every (candidate tau >= ``first_tau``, step T) pair with tau stored
+    after step T, as arrays (tau, T), `_BLOCK` steps at a time.
+
+    ``pop`` is `_pop_steps`'s output: candidate tau is stored after steps
+    tau + 1 to pop[tau] - 1.
+    """
+    end = len(pop)
+    carry = np.zeros(0, dtype=np.int64)  # born before the block, stored at its start
+    for lo in range(1, end + 1, _BLOCK):
+        hi = min(lo + _BLOCK, end + 1)  # steps lo .. hi - 1
+        cand = np.concatenate([carry, np.arange(max(lo - 1, first_tau), hi - 1)])
+        gone = pop[cand]
+        first = np.maximum(cand + 1, lo)
+        cnt = np.maximum(np.minimum(gone, hi) - first, 0)
+        carry = cand[gone > hi]
+        tau = np.repeat(cand, cnt)
+        yield tau, np.arange(len(tau)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+
+
 def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     """Running maximum of the doubled statistic after each step.
 
@@ -130,18 +150,9 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
         A[1:] = _conj_arr(conj, S[1:] / np.arange(1, end + 1))
     q = np.zeros(end + 1)  # the statistic at step T, larger of the directions
     for st, pop in zip(states, pops):
-        # candidates stored at the start of the block; with theta0 unknown
-        # the first (tau = 0) has no pre-change data and contributes 0
-        carry = np.zeros(0, dtype=np.int64)
-        for lo in range(1, end + 1, _BLOCK):
-            hi = min(lo + _BLOCK, end + 1)  # steps lo .. hi - 1
-            cand = np.concatenate([carry, np.arange(max(lo - 1, 0 if known else 1), hi - 1)])
-            last = pop[cand]
-            first = np.maximum(cand + 1, lo)
-            cnt = np.maximum(np.minimum(last, hi) - first, 0)
-            carry = cand[last > hi]
-            tau = np.repeat(cand, cnt)
-            T = np.arange(len(tau)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+        # with theta0 unknown the first candidate (tau = 0) has no
+        # pre-change data and contributes 0
+        for tau, T in _block_pairs(pop, 0 if known else 1):
             if known:
                 ok, m = _curve_m_arr(st, conj, tau, S[tau], T, S[T], st.sign)
             else:
@@ -329,7 +340,7 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             # A(S_T / T): the pooled term now, and the pre-change term of
             # the candidate at tau = T from the next step on
             mean = S[lane[::n_dir], T] / T
-            A[lane[::n_dir], T] = np.fromiter(map(conj, mean.tolist()), float, len(mean))
+            A[lane[::n_dir], T] = _conj_arr(conj, mean)
         if cnt.max() == cap:
             tau = np.concatenate([tau, np.zeros_like(tau)], axis=1)
             cs = np.concatenate([cs, np.zeros_like(cs)], axis=1)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from oracle import scalar_running_max
+from streamcpd import bench
 from streamcpd import (
     DegenerateSegmentError,
     DelayRun,
+    Detector,
     DetectorConfig,
     FamilySpec,
     Scenario,
@@ -19,6 +21,7 @@ from streamcpd import (
     first_detection,
     generate,
     mean_delay,
+    update,
 )
 from streamcpd.bench import (
     _BLOCK,
@@ -69,7 +72,7 @@ def test_first_detection_matches_running_max_crossing():
 
 
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
-def test_running_max_equals_scalar_reference(family):
+def test_running_max_equals_scalar_reference(family, monkeypatch):
     spec, pre, post = LANE_FAMILIES[family]
     streams = []
     # three blocks of the vector pass, and one
@@ -81,8 +84,31 @@ def test_running_max_equals_scalar_reference(family):
         for direction in ("up", "down", "both"):
             cfg = DetectorConfig(spec, pre if known else None, 1.0, direction)
             for s in streams:
-                got, want = stat_running_max(cfg, s), scalar_running_max(cfg, s)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                want = scalar_running_max(cfg, s)
+                # blocks of 7 steps put many candidates across block edges
+                for block in (_BLOCK, 7):
+                    monkeypatch.setattr(bench, "_BLOCK", block)
+                    got = stat_running_max(cfg, s)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 7, 1])
+def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
+    monkeypatch.setattr(bench, "_BLOCK", block)
+    g = generate(Scenario(GM, 0.0, 1.0, 400, 2 * _BLOCK + 37, seed=11)).tolist()
+    for theta0 in (0.0, None):
+        cfg = DetectorConfig(GM, theta0, 1.0, "both")
+        for st, ref in zip(Detector(cfg).states, Detector(cfg).states):
+            stored = set()
+            for T, gi in enumerate(g, 1):
+                update(ref, gi)
+                stored.update((r.tau, T) for r in ref.records)
+            pop = bench._pop_steps(st, g)
+            for first_tau in (0, 1):
+                got = [(a, b) for tau, T in bench._block_pairs(pop, first_tau)
+                       for a, b in zip(tau.tolist(), T.tolist())]
+                assert len(got) == len(set(got))
+                assert set(got) == {(a, b) for a, b in stored if a >= first_tau}
 
 
 def test_running_max_raises_on_a_degenerate_segment_like_scalar():
@@ -97,9 +123,9 @@ def test_running_max_raises_on_a_degenerate_segment_like_scalar():
 
 def test_running_max_memory_beyond_its_arrays_is_flat():
     # the O(T) arrays (the sufficient statistics as floats and as a list,
-    # prefix sums, pop steps, per-step maxima, the path) take under 128 bytes
-    # a step; the per-pair arrays of the vector pass, about 70 bytes per
-    # stored candidate and step if unblocked, must not grow with T
+    # prefix sums, pop steps, per-step maxima, the path) take about 70 bytes
+    # a step here; evaluated unblocked, the per-pair arrays of the vector
+    # pass would add about 520 more
     cfg = DetectorConfig(GM, 0.0, 1.0, "up")
     sizes = (10_000, 40_000)
     peaks = []
