@@ -18,7 +18,7 @@ from .counters import CounterSet
 from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from .families import FamilySpec
-from .pruning import q_full, update
+from .pruning import q_full
 from .simulate import Scenario, generate, require_int
 
 
@@ -80,22 +80,35 @@ def _curve_m_arr(state, conj, tau, cum_sum, T, St, sign, a_pre=None, pooled=None
 
 
 def _pop_steps(state, g: list[float]) -> np.ndarray:
-    """Run `update` over ``g``; entry tau is the step whose update removes
-    candidate tau, born at step tau + 1, or ``len(g) + 1`` if it stays.
+    """Entry tau is the step whose update removes candidate tau, born at
+    step tau + 1, or ``len(g) + 1`` if it stays, for ``g`` fed to the empty
+    ``state``, which is left as it is.
 
-    The merge cascade and the null barrier only ever pop the newest stored
-    candidate, so the stored taus form a stack and the stored count after
-    each update says which of them left.
+    The tail-merge cascade and the null barrier of `pruning.update`, with
+    its expressions in its order, on bare stacks of the stored taus and
+    their prefix sums: both only ever pop the newest candidate.
     """
     end = len(g)
     pop = [end + 1] * end
-    recs = state.records
-    taus = []
+    sign = state.sign
+    g0 = state.g0
+    known = state.theta0 is not None
+    taus: list[int] = []  # the stored candidates but the newest, (lt, lc)
+    sums: list[float] = []
+    St = 0.0
     for T, gi in enumerate(g, 1):
-        taus.append(T - 1)
-        update(state, gi)
-        while len(taus) > len(recs):
-            pop[taus.pop()] = T
+        lt, lc = T - 1, St
+        St += gi
+        while taus:
+            if ((St - lc) / (T - lt) - (lc - sums[-1]) / (lt - taus[-1])) * sign > 0:
+                break
+            pop[lt] = T
+            lt, lc = taus.pop(), sums.pop()
+        if known and not taus and ((St - lc) / (T - lt) - g0) * sign <= 0:
+            pop[lt] = T
+        else:
+            taus.append(lt)
+            sums.append(lc)
     return np.array(pop, dtype=np.int64)
 
 
@@ -125,10 +138,10 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     The detector fires at the first step where this path reaches the
     threshold, so one pass prices every threshold at once.  The path is
     that of `update` and `q_full` after every step, bit for bit, computed in
-    two passes: `update` alone runs through the stream for each direction
-    and logs when each candidate leaves the stored set, then
-    `_curve_m_arr` evaluates every (stored candidate, step) pair,
-    `_BLOCK` steps at a time.
+    two passes: `_pop_steps` runs `update`'s merge cascade through the
+    stream for each direction and logs when each candidate leaves the
+    stored set, then `_curve_m_arr` evaluates every (stored candidate, step)
+    pair, `_BLOCK` steps at a time.
     """
     spec = config.spec
     conj = spec.conjugate

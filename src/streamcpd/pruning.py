@@ -83,7 +83,9 @@ def update(state: PruneState, g: float) -> PruneState:
 
     Appends the newest candidate, runs the tail merge cascade, then applies
     the null barrier when the pre-change parameter is known.  Amortized O(1):
-    each candidate is appended once and removed at most once.
+    each candidate is appended once and removed at most once.  The cascade
+    and the barrier are mirrored, expression for expression, by
+    `bench._pop_steps` and `bench._first_detections`: change all three.
     """
     c = state.counters
     c.steps += 1

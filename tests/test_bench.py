@@ -31,6 +31,7 @@ from streamcpd.bench import (
     write_counter_csv,
     write_delay_csv,
 )
+from streamcpd.counters import CounterSet
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -109,6 +110,41 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
                        for a, b in zip(tau.tolist(), T.tolist())]
                 assert len(got) == len(set(got))
                 assert set(got) == {(a, b) for a, b in stored if a >= first_tau}
+
+
+@pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
+def test_pop_steps_are_those_of_update(family):
+    spec, pre, post = LANE_FAMILIES[family]
+    streams = []
+    for length in (2 * _BLOCK + 37, 300):
+        for change in (0, length // 2):
+            data = generate(Scenario(spec, pre, post, change, length, seed=500 + family + change))
+            streams.append(spec.suff_arr(data).tolist())
+    streams += [streams[1][:k] for k in (0, 1, 2, 3)]
+    longest_cascade = barriers = 0
+    for known in (True, False):
+        for direction in ("up", "down", "both"):
+            cfg = DetectorConfig(spec, pre if known else None, 1.0, direction)
+            for g in streams:
+                for st, ref in zip(Detector(cfg).states, Detector(cfg).states):
+                    # the step at which each candidate leaves update's records
+                    want = [len(g) + 1] * len(g)
+                    stored = set()
+                    for T, gi in enumerate(g, 1):
+                        update(ref, gi)
+                        now = {r.tau for r in ref.records}
+                        gone = (stored | {T - 1}) - now
+                        for tau in gone:
+                            want[tau] = T
+                        longest_cascade = max(longest_cascade, len(gone))
+                        barriers += known and not now
+                        stored = now
+                    got = bench._pop_steps(st, g)
+                    assert got.dtype == np.int64 and got.tolist() == want
+                    assert np.array_equal(bench._pop_steps(st, g), got)
+                    assert st.records == [] and st.counters == CounterSet()
+                    assert (st.total_count, st.total_sum, st.base_count, st.base_sum) == (0, 0.0, 0, 0.0)
+    assert longest_cascade >= 3 and barriers > 0
 
 
 def test_running_max_raises_on_a_degenerate_segment_like_scalar():
