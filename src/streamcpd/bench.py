@@ -17,7 +17,8 @@ import numpy as np
 from .counters import CounterSet
 from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
-from .families import FamilySpec
+from . import families
+from .families import _TINY, FamilySpec
 from .pruning import q_full
 from .simulate import Scenario, generate, require_int
 
@@ -51,32 +52,92 @@ _BLOCK = 1024
 
 
 def _conj_arr(conj, g: np.ndarray) -> np.ndarray:
-    """``conj`` over an array through the family's scalar form: ``np.log``
-    differs from ``math.log`` in the last bit on some inputs."""
+    """``conj`` over an array through the family's scalar form, bit for bit."""
     return np.fromiter(map(conj, g.tolist()), float, len(g))
 
 
-def _curve_m_arr(state, conj, tau, cum_sum, T, St, sign, a_pre=None, pooled=None):
-    """`pruning.curve_m` over arrays of (candidate, step) pairs.
+def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
+    """`pruning.curve_m` over arrays of (candidate, step) pairs, priced with
+    numpy's log: values v before the clip, and bounds d >= |v - m| with m
+    the scalar form's value before its clip.
 
-    Each pair goes through the scalar form's expressions in its order, with
-    its clip, so every value equals the scalar one bit for bit.  ``state``
-    gives theta0 and the constants derived from it, ``sign`` the direction
-    of each pair.  With theta0 unknown every tau must be positive, and
-    ``a_pre`` holds A(cum_sum / tau) and ``pooled`` T A(St / T) per pair.
+    Each pair goes through the scalar form's expressions in its order,
+    with `FamilySpec.conjugate_arr` for the conjugates.  ``state`` gives
+    theta0 and the constants derived from it, ``sign`` the direction of
+    each pair.  With theta0 unknown every tau must be positive, and ``pre``
+    holds, per pair, tau A(cum_sum / tau) and T A(St / T) as priced (the
+    i A(S_i / i) of `_prefix_terms`) and their bounds.
+
+    The bound follows `FamilySpec.conjugate_arr`'s error model: the
+    conjugates' bounds enter times the exact factors that scale them and
+    times 1 + 8e for the second-order terms, and each rounding after them
+    adds twice e (|r| + tiny), r its result.  theta0 known,
+    m = n (A - (a0 g - b0)): d = n (dA (1 + 8e) + 4e tiny) + 5e |m|, with
+    n |A - (a0 g - b0)| read as |m| (the 5 instead of 4 covers the
+    difference).  theta0 unknown, m = (tau A_pre + n A) - T A_all, rounded
+    at y = n A, at the sum s and at m:
+    d = (d_pre + d_all + n dA)(1 + 8e) + 2e (|y| + |s| + |m| + 3 tiny).
+    d is None when every conjugate was exact, and v then exact too.
+
     Returns the indices of the pairs whose segment mean is past the
-    pre-change mean, and their statistics; every other pair's is 0.
+    pre-change mean, and their v and d; every other pair's statistic is 0.
     """
     n = T - tau
     g_seg = (St - cum_sum) / n
+    e = _gap_unit()
     if state.theta0 is not None:
         ok = np.flatnonzero((g_seg - state.g0) * sign > 0)
         g = g_seg[ok]
-        m = n[ok] * (_conj_arr(conj, g) - (state.alpha0 * g - state.beta0))
+        n = n[ok]
+        a, d = spec.conjugate_arr(g)
+        v = n * (a - (state.alpha0 * g - state.beta0))
+        d = n * (d * (1.0 + 8.0 * e) + 4.0 * e * _TINY) + 5.0 * e * np.abs(v) if d.any() else None
     else:
         ok = np.flatnonzero((g_seg - cum_sum / tau) * sign > 0)
-        m = tau[ok] * a_pre[ok] + n[ok] * _conj_arr(conj, g_seg[ok]) - pooled[ok]
-    return ok, np.where(m > 0.0, m, 0.0)
+        b, db, pooled, dpooled = (a[ok] for a in pre)
+        n = n[ok]
+        a, d = spec.conjugate_arr(g_seg[ok])
+        y = n * a
+        s = b + y
+        v = s - pooled
+        if d.any() or db.any() or dpooled.any():
+            d = (db + dpooled + n * d) * (1.0 + 8.0 * e) + (np.abs(y) + np.abs(s) + np.abs(v) + 3.0 * _TINY) * (2.0 * e)
+        else:
+            d = None
+    return ok, v, d
+
+
+def _curve_m_exact(state, conj, tau, cum_sum, T, St):
+    """`pruning.curve_m` on pairs whose segment mean is past the pre-change
+    mean, bit for bit: the scalar form's expressions in its order, through
+    the family's scalar conjugate.  With theta0 unknown, the prefix-mean
+    conjugates are taken at the pairs' own tau and T only.
+    """
+    n = T - tau
+    g = (St - cum_sum) / n
+    if state.theta0 is not None:
+        m = n * (_conj_arr(conj, g) - (state.alpha0 * g - state.beta0))
+    else:
+        m = tau * _conj_arr(conj, cum_sum / tau) + n * _conj_arr(conj, g) - T * _conj_arr(conj, St / T)
+    return np.where(m > 0.0, m, 0.0)
+
+
+def _prefix_terms(spec, S, i):
+    """i A(S / i) and its bound, with S the prefix sums at steps i: the
+    pre-change term of a candidate at tau = i and the pooled term at T = i.
+    One rounding after the conjugate, bounded as in `_curve_m_arr`.
+    """
+    a, d = spec.conjugate_arr(S / i)
+    p = i * a
+    if d.any():
+        e = _gap_unit()
+        d = i * d * (1.0 + 8.0 * e) + (np.abs(p) + _TINY) * (2.0 * e)
+    return p, d
+
+
+def _gap_unit() -> float:
+    """e = `families.LOG_ULP_GAP` * 2**-52, read at each call."""
+    return families.LOG_ULP_GAP * families._EPS
 
 
 def _pop_steps(state, g: list[float]) -> np.ndarray:
@@ -140,8 +201,21 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     that of `update` and `q_full` after every step, bit for bit, computed in
     two passes: `_pop_steps` runs `update`'s merge cascade through the
     stream for each direction and logs when each candidate leaves the
-    stored set, then `_curve_m_arr` evaluates every (stored candidate, step)
-    pair, `_BLOCK` steps at a time.
+    stored set, then every (stored candidate, step) pair is priced in numpy
+    by `_curve_m_arr`, `_BLOCK` steps at a time, and only the pairs that can
+    move the path are redone exactly by `_curve_m_exact`.
+
+    A pair's clipped statistic lies in [max(v - d, 0), max(v + d, 0)].
+    ``low`` holds a lower bound on each step's statistic, carried across
+    blocks and directions.  A step whose largest upper bound is not above
+    the running maximum of ``low`` before it cannot move the path and is
+    skipped.  At any other step the pairs whose upper bound reaches the
+    running maximum of ``low`` up to it are redone exactly, and their
+    values raised into ``low``.  Every entry of ``low`` is then at most the
+    running maximum of the exact values found so far, every step that
+    raises the exact path finds its maximum, and the running maximum of
+    ``low`` is the exact path.  Where every conjugate was exact (d is None,
+    as for gauss-mean) the priced values go into ``low`` as they are.
     """
     spec = config.spec
     conj = spec.conjugate
@@ -157,21 +231,43 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     np.cumsum(g_arr, out=S[1:])
     known = config.theta0 is not None
     if not known:
-        # A(S_T / T): the pooled term at step T and the pre-change term of
+        # T A(S_T / T): the pooled term at step T and the pre-change term of
         # the candidate at tau = T
-        A = np.zeros(end + 1)
-        A[1:] = _conj_arr(conj, S[1:] / np.arange(1, end + 1))
-    q = np.zeros(end + 1)  # the statistic at step T, larger of the directions
+        P = np.zeros(end + 1)
+        dP = np.zeros(end + 1)
+        P[1:], dP[1:] = _prefix_terms(spec, S[1:], np.arange(1, end + 1))
+    low = np.zeros(end + 1)
     for st, pop in zip(states, pops):
+        run = 0.0  # running maximum of low before the block
         # with theta0 unknown the first candidate (tau = 0) has no
         # pre-change data and contributes 0
-        for tau, T in _block_pairs(pop, 0 if known else 1):
+        for blk, (tau, T) in enumerate(_block_pairs(pop, 0 if known else 1)):
+            lo = 1 + blk * _BLOCK
+            cs, St = S[tau], S[T]
             if known:
-                ok, m = _curve_m_arr(st, conj, tau, S[tau], T, S[T], st.sign)
+                ok, v, d = _curve_m_arr(st, spec, tau, cs, T, St, st.sign)
             else:
-                ok, m = _curve_m_arr(st, conj, tau, S[tau], T, S[T], st.sign, A[tau], T * A[T])
-            np.maximum.at(q, T[ok], m)
-    return 2.0 * np.maximum.accumulate(q[1:])
+                ok, v, d = _curve_m_arr(st, spec, tau, cs, T, St, st.sign, (P[tau], dP[tau], P[T], dP[T]))
+            j = T[ok] - lo
+            low_blk = low[lo:lo + min(_BLOCK, end + 1 - lo)]
+            if d is None:
+                np.maximum.at(low_blk, j, np.where(v > 0.0, v, 0.0))
+            else:
+                up = v + d
+                lw = v - d
+                np.maximum.at(low_blk, j, np.where(lw > 0.0, lw, 0.0))
+                top = np.zeros(len(low_blk))
+                np.maximum.at(top, j, up)
+                floor = np.maximum.accumulate(low_blk)
+                np.maximum(floor, run, out=floor)
+                before = np.concatenate(([run], floor[:-1]))
+                # a NaN bound (overflow) passes both tests: the exact form
+                # decides it
+                k = ok[np.flatnonzero(~(top <= before)[j] & ~(up < floor[j]))]
+                if k.size:
+                    np.maximum.at(low_blk, T[k] - lo, _curve_m_exact(st, conj, tau[k], cs[k], T[k], St[k]))
+            run = max(run, low_blk.max(initial=0.0))
+    return 2.0 * np.maximum.accumulate(low[1:])
 
 
 @dataclass(frozen=True)
@@ -297,15 +393,19 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     stacks (tau, prefix sum) with a stored count per row; K grows with the
     largest count.  A step appends each row's newest candidate, runs the
     tail-merge cascade as a masked loop until no row merges, applies the
-    known-theta0 null barrier as a mask, then evaluates every stored
-    candidate with `_curve_m_arr`.  A stream leaves the lockstep at its
-    first detection or its end.
+    known-theta0 null barrier as a mask, then prices every stored
+    candidate with `_curve_m_arr`.  A pair fires for certain where
+    2 (v - d) reaches the threshold and cannot fire where 2 (v + d) stays
+    below it; only the pairs between are redone exactly by
+    `_curve_m_exact`.  A stream leaves the lockstep at its first detection
+    or its end.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
-    With theta0 unknown, the conjugate of each prefix mean is taken once
-    per step and serves as the pooled term and, later, as the pre-change
-    term.
+    With theta0 unknown, T A(S_T / T) of each prefix mean is priced once
+    per step, with its bound, and serves as the pooled term and, later, as
+    the pre-change term; the exact form takes the conjugates it needs
+    itself.
 
     On degenerate data (a segment mean the family rejects, as after
     prefix-sum cancellation) both paths raise the family's error, but not
@@ -328,7 +428,10 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     S = np.zeros((n_streams, width + 1))
     for r, g in enumerate(g_rows):
         np.cumsum(g, out=S[r, 1:len(g) + 1])
-    A = np.empty_like(S)  # conjugates of the prefix means, theta0 unknown
+    # i A(S_i / i) of the prefix means as priced, and its bound, theta0
+    # unknown
+    P = np.empty_like(S)
+    dP = np.empty_like(S)
     st0 = states[0]
     g0 = st0.g0
     n_dir = len(states)
@@ -350,10 +453,10 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             break
         St = S[lane, T]
         if not known:
-            # A(S_T / T): the pooled term now, and the pre-change term of
+            # T A(S_T / T): the pooled term now, and the pre-change term of
             # the candidate at tau = T from the next step on
-            mean = S[lane[::n_dir], T] / T
-            A[lane[::n_dir], T] = _conj_arr(conj, mean)
+            ln = lane[::n_dir]
+            P[ln, T], dP[ln, T] = _prefix_terms(spec, S[ln, T], T)
         if cnt.max() == cap:
             tau = np.concatenate([tau, np.zeros_like(tau)], axis=1)
             cs = np.concatenate([cs, np.zeros_like(cs)], axis=1)
@@ -386,13 +489,23 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
         first = 0 if known else 1
         rr, jj = np.nonzero(np.arange(first, cap) < cnt[:, None])
         jj += first
-        ti, si = tau[rr, jj], cs[rr, jj]
+        ti, si, Si = tau[rr, jj], cs[rr, jj], St[rr]
         if known:
-            ok, m = _curve_m_arr(st0, conj, ti, si, T, St[rr], sign[rr])
+            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr])
         else:
             lr = lane[rr]
-            ok, m = _curve_m_arr(st0, conj, ti, si, T, St[rr], sign[rr], A[lr, ti], T * A[lr, T])
-        fired = lane[rr[ok[2.0 * m >= thr]]]
+            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr], (P[lr, ti], dP[lr, ti], P[lr, T], dP[lr, T]))
+        if d is None:
+            fire = ok[2.0 * v >= thr]
+        else:
+            # the pairs that may fire (a NaN bound may): for certain where
+            # v - d reaches the threshold, redone exactly where v + d does
+            c = np.flatnonzero(~(2.0 * (v + d) < thr))
+            sure = 2.0 * (v[c] - d[c]) >= thr
+            fire, k = ok[c[sure]], ok[c[~sure]]
+            if k.size:
+                fire = np.concatenate([fire, k[2.0 * _curve_m_exact(st0, conj, ti[k], si[k], T, Si[k]) >= thr]])
+        fired = lane[rr[fire]]
         if fired.size:
             live[fired] = False
             for i in fired.tolist():

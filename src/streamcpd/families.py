@@ -24,8 +24,8 @@ which `FamilySpec` binds once at construction.
 
 Nothing here imports numpy or scipy at module load: the detector needs only
 `math`.  The inverse CDFs import numpy and `scipy.special` when first called
-and `suff_arr` imports numpy, so only the simulation and Monte Carlo paths
-pay for them.  The Poisson and binomial inverse CDFs are an exact search on
+and `suff_arr` and `conjugate_arr` import numpy, so only the simulation and
+Monte Carlo paths pay for them.  The Poisson and binomial inverse CDFs are an exact search on
 the CDFs `scipy.special` provides (`_search_quantile`); `scipy.stats` is
 never imported.
 """
@@ -47,6 +47,15 @@ from .errors import (
 
 _INF = float("inf")
 _TWO53 = float(2**53)  # integers past this are not all exact floats
+
+# Largest gap, in units in the last place of ``math.log(x)``, between
+# ``numpy.log(x)`` and ``math.log(x)`` on any positive float x.  Two
+# faithfully rounded logs differ by at most one ulp; a test measures the
+# gap.  `FamilySpec.conjugate_arr`'s bounds, and so the exactness of the
+# Monte Carlo paths, rest on it.
+LOG_ULP_GAP = 1
+_EPS = 2.0**-52  # ulp(y) <= _EPS * |y| for normal y
+_TINY = 2.0**-1022  # smallest normal: ulp(y) <= _EPS * max(|y|, _TINY) for all y
 
 
 def _special():
@@ -132,6 +141,9 @@ class _Forms(NamedTuple):
     mean_suff: Callable[[float], float]
     suff: Callable[[float], float]
     conjugate: Callable[[float], float]
+    # (numpy, means array, e) -> (values, bounds), or None where a mean is
+    # outside the family's range; see `FamilySpec.conjugate_arr`
+    conjugate_arr: Callable
     inverse_cdf: Callable  # (theta, uniforms array) -> observations array
 
 
@@ -148,6 +160,8 @@ def _gauss_mean(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=lambda g: g * g / 2.0,
+        # no log: the same two roundings as the scalar form, so exact
+        conjugate_arr=lambda np, g, e: (g * g / 2.0, np.zeros(len(g))),
         inverse_cdf=lambda t, u: t + _special().ndtri(u),
     )
 
@@ -167,6 +181,14 @@ def _gauss_var(_) -> _Forms:
             )
         return -0.5 * (1.0 + math.log(gbar))
 
+    def conjugate_arr(np, g, e):
+        if not g.min(initial=1.0) > 0:
+            return None
+        lg = np.log(g)
+        y = 1.0 + lg
+        # -0.5 * y is exact
+        return -0.5 * y, (np.abs(lg) + np.abs(y) + _TINY) * e
+
     return _Forms(
         (0.0, _INF), 1, False,
         alpha=lambda t: -1.0 / (2.0 * t),
@@ -174,6 +196,7 @@ def _gauss_var(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: math.sqrt(t) * _special().ndtri(u),
     )
 
@@ -191,6 +214,13 @@ def _poisson(_) -> _Forms:
             return 0.0
         return gbar * math.log(gbar) - gbar
 
+    def conjugate_arr(np, g, e):
+        if not g.min(initial=0.0) >= 0:
+            return None
+        y = g * np.log(np.where(g > 0, g, 1.0))  # 0 * log 0 = 0
+        v = y - g
+        return v, (2.0 * np.abs(y) + np.abs(v) + 2.0 * _TINY) * (2.0 * e)
+
     return _Forms(
         (0.0, _INF), 1, True,
         alpha=math.log,
@@ -198,6 +228,7 @@ def _poisson(_) -> _Forms:
         mean_suff=lambda t: t,
         suff=suff,
         conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: _search_quantile(
             lambda k: _special().pdtr(k, t), u, t, math.sqrt(t), _INF),
     )
@@ -220,6 +251,17 @@ def _binomial(n) -> _Forms:
             return 0.0
         return gbar * math.log(gbar / (n - gbar)) + n * math.log((n - gbar) / n)
 
+    def conjugate_arr(np, g, e):
+        if not (g.min(initial=0.0) >= 0 and g.max(initial=0.0) <= n):
+            return None
+        inner = (g > 0) & (g < n)  # 0 at both ends
+        gs = np.where(inner, g, 0.5 * n)
+        y1 = gs * np.log(gs / (n - gs))
+        y2 = n * np.log((n - gs) / n)
+        v = y1 + y2
+        d = (2.0 * (np.abs(y1) + np.abs(y2)) + np.abs(v) + 3.0 * _TINY) * (2.0 * e)
+        return np.where(inner, v, 0.0), np.where(inner, d, 0.0)
+
     return _Forms(
         (0.0, 1.0), 2, True,
         alpha=lambda t: math.log(t / (1.0 - t)),
@@ -227,6 +269,7 @@ def _binomial(n) -> _Forms:
         mean_suff=lambda t: n * t,
         suff=suff,
         conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
         # P(X <= k) = 1 - I_t(k + 1, n - k) for k < n, I the regularized
         # incomplete beta function.  betaincc computes it with relative
         # precision in both tails, as scipy.stats' binomial CDF does; bdtr is
@@ -253,6 +296,13 @@ def _gamma(kk) -> _Forms:
             )
         return -kk - kk * math.log(gbar / kk)
 
+    def conjugate_arr(np, g, e):
+        if not g.min(initial=1.0) > 0:
+            return None
+        y = kk * np.log(g / kk)
+        v = -kk - y
+        return v, (2.0 * np.abs(y) + np.abs(v) + 2.0 * _TINY) * (2.0 * e)
+
     return _Forms(
         (0.0, _INF), 1, False,
         alpha=lambda t: -1.0 / t,
@@ -260,6 +310,7 @@ def _gamma(kk) -> _Forms:
         mean_suff=lambda t: kk * t,
         suff=suff,
         conjugate=conjugate,
+        conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: t * _special().gammaincinv(kk, u),  # scale parametrization
     )
 
@@ -359,6 +410,51 @@ class FamilySpec:
         """Mean map mu(theta) = b'(theta) / a'(theta); strictly increasing."""
         self._require_domain(theta)
         return self._forms.mean_suff(theta)
+
+    def conjugate_arr(self, g):
+        """`conjugate` over an array of means, priced with numpy's log.
+
+        Returns (v, d): the values, the scalar form's expressions in its
+        order with ``numpy.log`` for ``math.log``, and per-element bounds
+        d >= |v - conjugate(g)|.  With eps = 2**-52, e = `LOG_ULP_GAP` eps
+        and tiny the smallest normal float:
+
+        * the logs differ by at most e |l|, an ulp of the log l being at
+          most eps |l| (the log of a positive float is 0 or normal);
+        * every later operation is the same IEEE operation on inputs that
+          may differ.  If its exact results differ by delta, its rounded
+          ones differ by at most delta + eps max(|r|, tiny) to first
+          order, r its computed result (half an ulp each way);
+        * so, to first order, |v - conjugate(g)| is at most e times the
+          sum, over the logs, of |c l| (c the exact factor that multiplies
+          the log), plus, over the roundings after a log, |r| + tiny, each
+          times the exact factor applied later.  Each form's bound is twice
+          that sum, which covers the second-order terms (relative size e)
+          and the rounding of the bound's own arithmetic, with |c l| read
+          as the magnitude |y| of the rounded product y = c l.
+
+        Per family, with y, y1, y2 those products:
+
+        * gauss-mean, g * g / 2: no log, so v is exact and d = 0;
+        * gauss-var, -0.5 (1 + l): one log and one sum, both halved by the
+          exact product: d = e (|l| + |1 + l| + tiny);
+        * Poisson, g l - g, and gamma, -k - k l: one product and one
+          difference: d = 2e (2 |y| + |v| + 2 tiny);
+        * binomial, g l1 + n l2: two products and their sum:
+          d = 2e (2 |y1| + 2 |y2| + |v| + 3 tiny), and 0 at the ends.
+
+        At a gap of 0 every bound is 0.  Where any mean is outside the
+        family's range or not finite, or a value overflows, the scalar form
+        is mapped instead, with d = 0, so that its errors and their
+        messages are unchanged.
+        """
+        import numpy as np
+
+        g = np.asarray(g, dtype=float)
+        out = self._forms.conjugate_arr(np, g, LOG_ULP_GAP * _EPS)
+        if out is None or not np.isfinite(out[0]).all():
+            return np.fromiter(map(self.conjugate, g.tolist()), float, len(g)), np.zeros(len(g))
+        return out
 
     def suff_arr(self, x):
         """`suff` over an array, with the same support validation."""

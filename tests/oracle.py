@@ -15,53 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from streamcpd.detector import Detector, DetectorConfig
-from streamcpd.errors import DegenerateSegmentError, MeanRangeError
-from streamcpd.families import Direction, FamilyKind, FamilySpec
+from streamcpd.families import Direction, FamilySpec
 from streamcpd.pruning import q_full, update
 
 
-def _gauss_var_arr(_, g):
-    if np.any(g <= 0):
-        raise DegenerateSegmentError("non-positive mean for gauss-var")
-    return -0.5 * (1.0 + np.log(g))
-
-
-def _poisson_arr(_, g):
-    if np.any(g < 0):
-        raise MeanRangeError("negative mean for poisson")
-    safe = np.where(g > 0, g, 1.0)
-    return np.where(g > 0, g * np.log(safe) - g, 0.0)
-
-
-def _binomial_arr(spec, g):
-    n = spec.trials
-    if np.any((g < 0) | (g > n)):
-        raise MeanRangeError(f"mean outside [0, {n}] for binomial")
-    inner = (g > 0) & (g < n)
-    gs = np.where(inner, g, 0.5 * n)
-    val = gs * np.log(gs / (n - gs)) + n * np.log((n - gs) / n)
-    return np.where(inner, val, 0.0)
-
-
-def _gamma_arr(spec, g):
-    kk = spec.shape
-    if np.any(g <= 0):
-        raise DegenerateSegmentError("non-positive mean for gamma")
-    return -kk - kk * np.log(g / kk)
-
-
-_CONJUGATE_ARR = {
-    FamilyKind.GAUSS_MEAN: lambda _, g: g * g / 2.0,
-    FamilyKind.GAUSS_VAR: _gauss_var_arr,
-    FamilyKind.POISSON: _poisson_arr,
-    FamilyKind.BINOMIAL: _binomial_arr,
-    FamilyKind.GAMMA: _gamma_arr,
-}
-
-
 def conjugate_arr(spec: FamilySpec, g) -> np.ndarray:
-    """Elementwise A(g) on an array, same boundary conventions as `spec.conjugate`."""
-    return _CONJUGATE_ARR[spec.kind](spec, np.asarray(g, dtype=float))
+    """Elementwise A(g) on an array, same boundary conventions as
+    `spec.conjugate`: the values of the family table's array column."""
+    return spec.conjugate_arr(g)[0]
 
 
 @dataclass(frozen=True)

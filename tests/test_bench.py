@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import scalar_running_max
-from streamcpd import bench
+from streamcpd import bench, families
 from streamcpd import (
     DegenerateSegmentError,
     DelayRun,
@@ -91,6 +91,47 @@ def test_running_max_equals_scalar_reference(family, monkeypatch):
                     monkeypatch.setattr(bench, "_BLOCK", block)
                     got = stat_running_max(cfg, s)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if spec is PO:
+        # acceptance test A8's setup: a long null stream with theta0 unknown,
+        # where n A(g) is large and the conjugates' bounds are widest
+        s = generate(Scenario(PO, 1.0, 1.0, 0, 10_000, seed=311))
+        cfg = DetectorConfig(PO, None, 1.0, "up")
+        want = scalar_running_max(cfg, s)
+        for block in (_BLOCK, 7):
+            monkeypatch.setattr(bench, "_BLOCK", block)
+            got = stat_running_max(cfg, s)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_zero_log_gap_is_seen(monkeypatch):
+    # with the log gap taken as 0 every bound is 0 and the priced values are
+    # trusted as exact, which they are not: the byte-equality checks must
+    # see it.  These streams (binomial(1), theta0 known, and gamma(2),
+    # theta0 unknown) have steps where numpy's log moves the path's maximum
+    paths = lanes = 0
+    for spec, pre, post, known in ((FamilySpec.binomial(1), 0.3, 0.6, True),
+                                   (FamilySpec.gamma(2.0), 1.0, 1.7, False)):
+        s = generate(Scenario(spec, pre, post, 150, 300, seed=900))
+        theta0 = pre if known else None
+        cfg = DetectorConfig(spec, theta0, 1.0, "up")
+        want = scalar_running_max(cfg, s)
+        assert stat_running_max(cfg, s).tobytes() == want.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(families, "LOG_ULP_GAP", 0)
+            got = stat_running_max(cfg, s)
+        if got.tobytes() == want.tobytes():
+            continue
+        paths += 1
+        # a threshold between the two paths at their first difference: the
+        # scalar detector and the unbounded lanes fire at different steps
+        i = int(np.flatnonzero(got != want)[0])
+        cfg = DetectorConfig(spec, theta0, max(got[i], want[i]), "up")
+        scalar = first_detection(cfg, s)
+        assert _first_detections(cfg, [s]) == [scalar]
+        with monkeypatch.context() as m:
+            m.setattr(families, "LOG_ULP_GAP", 0)
+            lanes += _first_detections(cfg, [s]) != [scalar]
+    assert paths >= 1 and lanes >= 1
 
 
 @pytest.mark.parametrize("block", [_BLOCK, 7, 1])

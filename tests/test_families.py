@@ -1,6 +1,7 @@
 """Closed-form family quantities against numeric maximisation oracles."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from streamcpd import families
 from streamcpd import (
     DegenerateSegmentError,
     Direction,
@@ -326,3 +328,87 @@ def test_suff_arr_matches_scalar():
     assert np.array_equal(GV.suff_arr(x), x * x)
     with pytest.raises(SupportError):
         PO.suff_arr(np.array([1.0, -2.0]))
+
+
+# ------------------------------------------------------------------
+# the array conjugates and their bounds
+# ------------------------------------------------------------------
+
+# every family with a log, with binomial and gamma at a large and a small
+# extra parameter
+LOGGED = [GV, PO, BI4, FamilySpec.binomial(2**40), GA, FamilySpec.gamma(1e-3)]
+
+
+def spread_means(spec, k, rng, top=308.0):
+    """``4 * k`` means over the family's range whose log arguments lie near
+    1, log-uniform from subnormal to 10**top, subnormal, and within two
+    decades of 10**top.  Gamma means are k x, binomial means n x / (1 + x),
+    so that g / k and the odds g / (n - g) take those values x; gauss-mean
+    means are x with either sign."""
+    x = np.concatenate([
+        1.0 + np.concatenate([rng.uniform(-1e-3, 1e-3, k - k // 2), 1e-12 * rng.standard_normal(k // 2)]),
+        10.0 ** rng.uniform(-323.0, top, k),
+        2.0**-1022 * rng.uniform(0.0, 1.0, k),
+        10.0 ** rng.uniform(top - 2.0, top, k),
+    ])
+    if spec.trials is not None:
+        x = spec.trials * (x / (1.0 + x))
+    elif spec.shape is not None:
+        with np.errstate(over="ignore"):
+            x = spec.shape * x
+    x = x[(x > 0) & (x < math.inf)]
+    return x * rng.choice([-1.0, 1.0], len(x)) if spec is GM else x
+
+
+def log_arguments(spec, g):
+    """What the family's conjugate takes the log of, at means ``g``."""
+    if spec.trials is not None:
+        n = spec.trials
+        g = g[(g > 0) & (g < n)]
+        return np.concatenate([g / (n - g), (n - g) / n])
+    return g if spec.shape is None else g / spec.shape
+
+
+@pytest.mark.parametrize("spec", LOGGED, ids=lambda s: f"{s.kind.value}-{s.trials or s.shape or ''}")
+def test_log_gap_within_the_assumed_bound(spec):
+    # the premise of every conjugate_arr bound: numpy's log is within
+    # LOG_ULP_GAP ulps of math.log; a looser numpy must fail here rather
+    # than move calibrated thresholds
+    rng = np.random.default_rng(zlib.crc32(repr(spec).encode()))
+    x = log_arguments(spec, spread_means(spec, 260_000, rng))
+    x = x[(x > 0) & (x < math.inf)]
+    assert len(x) >= 10**6
+    want = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    got = np.log(x)
+    assert np.array_equal(got[want == 0.0], want[want == 0.0])
+    gap = np.abs(got - want)[want != 0.0] / np.spacing(np.abs(want[want != 0.0]))
+    assert gap.max() <= families.LOG_ULP_GAP
+    assert (got != want).any()  # the gap is there to be bounded
+
+
+@pytest.mark.parametrize("spec", [GM, *LOGGED], ids=lambda s: f"{s.kind.value}-{s.trials or s.shape or ''}")
+def test_conjugate_arr_bounds_hold(spec):
+    rng = np.random.default_rng(zlib.crc32(repr(spec).encode()) + 1)
+    # means where no value overflows, so the column stays on numpy
+    g = spread_means(spec, 50_000, rng, top=150.0 if spec is GM else 300.0)
+    if spec.trials is not None:
+        g = np.concatenate([g, [0.0, float(spec.trials)]])
+    elif spec is PO:
+        g = np.concatenate([g, [0.0]])
+    v, d = spec.conjugate_arr(g)
+    want = np.fromiter(map(spec.conjugate, g.tolist()), float, len(g))
+    assert np.all(np.abs(v - want) <= d)
+    if spec is GM:
+        assert v.tobytes() == want.tobytes() and not d.any()
+
+
+def test_conjugate_arr_maps_the_scalar_form_outside_the_range():
+    for spec, g in ((GV, [1.0, 0.0]), (PO, [2.0, -0.5]), (BI4, [1.0, 4.5]), (GA, [1.0, -1.0])):
+        with pytest.raises(Exception) as scalar:
+            spec.conjugate(g[1])
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            spec.conjugate_arr(np.array(g))
+    # a value that overflows falls back to the scalar form with a zero bound
+    with np.errstate(over="ignore"):
+        v, d = PO.conjugate_arr(np.array([1e308, 2.0]))
+    assert v.tolist() == [PO.conjugate(1e308), PO.conjugate(2.0)] and not d.any()
