@@ -101,7 +101,8 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
         s = b + y
         v = s - pooled
         if d.any() or db.any() or dpooled.any():
-            d = (db + dpooled + n * d) * (1.0 + 8.0 * e) + (np.abs(y) + np.abs(s) + np.abs(v) + 3.0 * _TINY) * (2.0 * e)
+            d = ((db + dpooled + n * d) * (1.0 + 8.0 * e)
+                 + (np.abs(y) + np.abs(s) + np.abs(v) + 3.0 * _TINY) * (2.0 * e))
         else:
             d = None
     return ok, v, d
@@ -494,7 +495,8 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr])
         else:
             lr = lane[rr]
-            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr], (P[lr, ti], dP[lr, ti], P[lr, T], dP[lr, T]))
+            pre = P[lr, ti], dP[lr, ti], P[lr, T], dP[lr, T]
+            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr], pre)
         if d is None:
             fire = ok[2.0 * v >= thr]
         else:
@@ -504,7 +506,8 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             sure = 2.0 * (v[c] - d[c]) >= thr
             fire, k = ok[c[sure]], ok[c[~sure]]
             if k.size:
-                fire = np.concatenate([fire, k[2.0 * _curve_m_exact(st0, conj, ti[k], si[k], T, Si[k]) >= thr]])
+                m = _curve_m_exact(st0, conj, ti[k], si[k], T, Si[k])
+                fire = np.concatenate([fire, k[2.0 * m >= thr]])
         fired = lane[rr[fire]]
         if fired.size:
             live[fired] = False

@@ -25,9 +25,9 @@ which `FamilySpec` binds once at construction.
 Nothing here imports numpy or scipy at module load: the detector needs only
 `math`.  The inverse CDFs import numpy and `scipy.special` when first called
 and `suff_arr` and `conjugate_arr` import numpy, so only the simulation and
-Monte Carlo paths pay for them.  The Poisson and binomial inverse CDFs are an exact search on
-the CDFs `scipy.special` provides (`_search_quantile`); `scipy.stats` is
-never imported.
+Monte Carlo paths pay for them.  The Poisson and binomial inverse CDFs are
+an exact search on the CDFs `scipy.special` provides (`_search_quantile`);
+`scipy.stats` is never imported.
 """
 
 from __future__ import annotations
@@ -425,13 +425,14 @@ class FamilySpec:
           may differ.  If its exact results differ by delta, its rounded
           ones differ by at most delta + eps max(|r|, tiny) to first
           order, r its computed result (half an ulp each way);
-        * so, to first order, |v - conjugate(g)| is at most e times the
-          sum, over the logs, of |c l| (c the exact factor that multiplies
-          the log), plus, over the roundings after a log, |r| + tiny, each
-          times the exact factor applied later.  Each form's bound is twice
-          that sum, which covers the second-order terms (relative size e)
-          and the rounding of the bound's own arithmetic, with |c l| read
-          as the magnitude |y| of the rounded product y = c l.
+        * so, to first order and for a gap of at least 1 (eps <= e),
+          |v - conjugate(g)| is at most e times the sum, over the logs, of
+          |c l| (c the exact factor that multiplies the log), plus, over
+          the roundings after a log, |r| + tiny, each times the exact
+          factor applied later.  Each form's bound is twice that sum, which
+          covers the second-order terms (relative size e) and the rounding
+          of the bound's own arithmetic, with |c l| read as the magnitude
+          |y| of the rounded product y = c l.
 
         Per family, with y, y1, y2 those products:
 
@@ -443,7 +444,8 @@ class FamilySpec:
         * binomial, g l1 + n l2: two products and their sum:
           d = 2e (2 |y1| + 2 |y2| + |v| + 3 tiny), and 0 at the ends.
 
-        At a gap of 0 every bound is 0.  Where any mean is outside the
+        At a gap of 0 the two evaluations are the same and every bound is
+        0.  Where any mean is outside the
         family's range or not finite, or a value overflows, the scalar form
         is mapped instead, with d = 0, so that its errors and their
         messages are unchanged.

@@ -122,7 +122,8 @@ def test_a_zero_log_gap_is_seen(monkeypatch):
         if got.tobytes() == want.tobytes():
             continue
         paths += 1
-        # a threshold between the two paths at their first difference: the
+        # a threshold at the larger of the two paths' values where they
+        # first part: one crosses it there and the other does not, so the
         # scalar detector and the unbounded lanes fire at different steps
         i = int(np.flatnonzero(got != want)[0])
         cfg = DetectorConfig(spec, theta0, max(got[i], want[i]), "up")
