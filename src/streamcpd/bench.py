@@ -19,7 +19,7 @@ from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from . import families
 from .families import _TINY, FamilySpec
-from .pruning import q_full
+from .pruning import curve_m, q_full
 from .simulate import Scenario, generate, require_int
 
 
@@ -45,15 +45,10 @@ def run_length(config: DetectorConfig, scenario: Scenario) -> int | None:
     return first_detection(config, generate(scenario))
 
 
-# steps per block of `stat_running_max`'s vector pass: its working memory is
-# about this many steps times the stored candidates per step, whatever the
-# stream's length
+# (row, step) pairs per block of the Monte Carlo kernels' vector pass: their
+# working memory is about this many times the stored candidates per step,
+# whatever the stream's length and the number of rows
 _BLOCK = 1024
-
-
-def _conj_arr(conj, g: np.ndarray) -> np.ndarray:
-    """``conj`` over an array through the family's scalar form, bit for bit."""
-    return np.fromiter(map(conj, g.tolist()), float, len(g))
 
 
 def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
@@ -108,21 +103,6 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
     return ok, v, d
 
 
-def _curve_m_exact(state, conj, tau, cum_sum, T, St):
-    """`pruning.curve_m` on pairs whose segment mean is past the pre-change
-    mean, bit for bit: the scalar form's expressions in its order, through
-    the family's scalar conjugate.  With theta0 unknown, the prefix-mean
-    conjugates are taken at the pairs' own tau and T only.
-    """
-    n = T - tau
-    g = (St - cum_sum) / n
-    if state.theta0 is not None:
-        m = n * (_conj_arr(conj, g) - (state.alpha0 * g - state.beta0))
-    else:
-        m = tau * _conj_arr(conj, cum_sum / tau) + n * _conj_arr(conj, g) - T * _conj_arr(conj, St / T)
-    return np.where(m > 0.0, m, 0.0)
-
-
 def _prefix_terms(spec, S, i):
     """i A(S / i) and its bound, with S the prefix sums at steps i: the
     pre-change term of a candidate at tau = i and the pooled term at T = i.
@@ -175,23 +155,68 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
 
 
 def _block_pairs(pop: np.ndarray, first_tau: int):
-    """Every (candidate tau >= ``first_tau``, step T) pair with tau stored
-    after step T, as arrays (tau, T), `_BLOCK` steps at a time.
+    """Every (row, candidate tau >= ``first_tau``, step T) with tau stored
+    in the row after step T, a block of steps at a time: (lo, hi, row, tau,
+    T) for the steps lo to hi - 1, the last three as arrays.
 
-    ``pop`` is `_pop_steps`'s output: candidate tau is stored after steps
-    tau + 1 to pop[tau] - 1.
+    Row r of the 2-D ``pop`` is `_pop_steps`'s output for one stream and
+    direction: candidate tau is stored after steps tau + 1 to
+    pop[r, tau] - 1.  A block spans max(1, `_BLOCK` // rows) steps.
     """
-    end = len(pop)
-    carry = np.zeros(0, dtype=np.int64)  # born before the block, stored at its start
-    for lo in range(1, end + 1, _BLOCK):
-        hi = min(lo + _BLOCK, end + 1)  # steps lo .. hi - 1
-        cand = np.concatenate([carry, np.arange(max(lo - 1, first_tau), hi - 1)])
-        gone = pop[cand]
-        first = np.maximum(cand + 1, lo)
+    rows, end = pop.shape
+    step = max(1, _BLOCK // max(rows, 1))
+    every = np.arange(rows)
+    # (row, tau) of the candidates born before the block, stored at its start
+    c_row = c_tau = np.zeros(0, dtype=np.int64)
+    for lo in range(1, end + 1, step):
+        hi = min(lo + step, end + 1)  # steps lo .. hi - 1
+        born = np.arange(max(lo - 1, first_tau), hi - 1)
+        row = np.concatenate([c_row, np.repeat(every, len(born))])
+        tau = np.concatenate([c_tau, np.tile(born, rows)])
+        gone = pop[row, tau]
+        first = np.maximum(tau + 1, lo)
         cnt = np.maximum(np.minimum(gone, hi) - first, 0)
-        carry = cand[gone > hi]
-        tau = np.repeat(cand, cnt)
-        yield tau, np.arange(len(tau)) - np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+        c_row, c_tau = row[gone > hi], tau[gone > hi]
+        off = np.repeat(np.cumsum(cnt) - cnt - first, cnt)
+        yield lo, hi, np.repeat(row, cnt), np.repeat(tau, cnt), np.arange(len(off)) - off
+
+
+def _rows(config: DetectorConfig, streams: list[np.ndarray]):
+    """What both Monte Carlo kernels price, with one row per (stream,
+    direction): (states, S, P, dP, pop, sign).
+
+    ``states`` are the config's empty direction states, and row
+    i * len(states) + k is stream i in direction k.  S[i, T] is stream i's
+    prefix sum g_1 + ... + g_T, accumulated left to right as `update`
+    does.  With theta0 unknown P[i, T] is T A(S[i, T] / T) as priced, with
+    its bound dP[i, T] (`_prefix_terms`), at the stream's own steps: the
+    pooled term at step T and the pre-change term of the candidate at
+    tau = T; with theta0 known both are None.  Row r of ``pop`` is
+    `_pop_steps` of its stream and direction, a shorter stream's row
+    padded with candidates stored for no step, and sign[r] its direction's
+    sign.
+    """
+    spec = config.spec
+    states = Detector(config).states
+    g_rows = [spec.suff_arr(np.asarray(s, dtype=float)) for s in streams]
+    ends = [len(g) for g in g_rows]
+    steps = np.arange(1, max(ends, default=0) + 1)
+    S = np.zeros((len(g_rows), len(steps) + 1))
+    for i, g in enumerate(g_rows):
+        np.cumsum(g, out=S[i, 1:len(g) + 1])
+    pop = np.tile(steps, (len(g_rows) * len(states), 1))
+    # one stream's observations as a list at a time
+    pops = (_pop_steps(st, g) for g in (a.tolist() for a in g_rows) for st in states)
+    for r, p in enumerate(pops):
+        pop[r, :len(p)] = p
+    P = dP = None
+    if config.theta0 is None:
+        P = np.zeros_like(S)
+        dP = np.zeros_like(S)
+        own = steps <= np.array(ends)[:, None]
+        P[:, 1:][own], dP[:, 1:][own] = _prefix_terms(spec, S[:, 1:][own], (own * steps)[own])
+    sign = np.array([float(st.sign) for st in states] * len(g_rows))
+    return states, S, P, dP, pop, sign
 
 
 def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
@@ -202,72 +227,60 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     that of `update` and `q_full` after every step, bit for bit, computed in
     two passes: `_pop_steps` runs `update`'s merge cascade through the
     stream for each direction and logs when each candidate leaves the
-    stored set, then every (stored candidate, step) pair is priced in numpy
-    by `_curve_m_arr`, `_BLOCK` steps at a time, and only the pairs that can
-    move the path are redone exactly by `_curve_m_exact`.
+    stored set, then every (direction, stored candidate, step) pair is
+    priced in numpy by `_curve_m_arr`, the directions' rows stacked and a
+    block of steps at a time (`_block_pairs`), and only the pairs that can
+    move the path are redone exactly by `pruning.curve_m`, with the state
+    of their direction.
 
     A pair's clipped statistic lies in [max(v - d, 0), max(v + d, 0)].
-    ``low`` holds a lower bound on each step's statistic, carried across
-    blocks and directions.  A step whose largest upper bound is not above
-    the running maximum of ``low`` before it cannot move the path and is
-    skipped.  At any other step the pairs whose upper bound reaches the
-    running maximum of ``low`` up to it are redone exactly, and their
+    ``low`` holds a lower bound on each step's statistic over both
+    directions, and ``run`` the running maximum of ``low`` before the
+    block, carried across blocks.  A step whose largest upper bound is not
+    above the running maximum of ``low`` before it cannot move the path
+    and is skipped.  At any other step the pairs whose upper bound reaches
+    the running maximum of ``low`` up to it are redone exactly, and their
     values raised into ``low``.  Every entry of ``low`` is then at most the
-    running maximum of the exact values found so far, every step that
-    raises the exact path finds its maximum, and the running maximum of
-    ``low`` is the exact path.  Where every conjugate was exact (d is None,
-    as for gauss-mean) the priced values go into ``low`` as they are.
+    exact statistic of its step, every step that raises the exact path
+    finds its maximum, and the running maximum of ``low`` is the exact
+    path.  Where every conjugate was exact (d is None, as for gauss-mean)
+    the priced values go into ``low`` as they are.
     """
     spec = config.spec
-    conj = spec.conjugate
-    g_arr = spec.suff_arr(np.asarray(data, dtype=float))
-    end = len(g_arr)
-    g = g_arr.tolist()
-    states = Detector(config).states
-    pops = [_pop_steps(st, g) for st in states]
-    del g
-    # prefix sums S[T] = g_1 + ... + g_T, accumulated left to right as
-    # `update` does
-    S = np.zeros(end + 1)
-    np.cumsum(g_arr, out=S[1:])
-    known = config.theta0 is not None
+    states, S, P, dP, pop, sign = _rows(config, [data])
+    known = P is None
+    S = S[0]
     if not known:
-        # T A(S_T / T): the pooled term at step T and the pre-change term of
-        # the candidate at tau = T
-        P = np.zeros(end + 1)
-        dP = np.zeros(end + 1)
-        P[1:], dP[1:] = _prefix_terms(spec, S[1:], np.arange(1, end + 1))
-    low = np.zeros(end + 1)
-    for st, pop in zip(states, pops):
-        run = 0.0  # running maximum of low before the block
-        # with theta0 unknown the first candidate (tau = 0) has no
-        # pre-change data and contributes 0
-        for blk, (tau, T) in enumerate(_block_pairs(pop, 0 if known else 1)):
-            lo = 1 + blk * _BLOCK
-            cs, St = S[tau], S[T]
-            if known:
-                ok, v, d = _curve_m_arr(st, spec, tau, cs, T, St, st.sign)
-            else:
-                ok, v, d = _curve_m_arr(st, spec, tau, cs, T, St, st.sign, (P[tau], dP[tau], P[T], dP[T]))
-            j = T[ok] - lo
-            low_blk = low[lo:lo + min(_BLOCK, end + 1 - lo)]
-            if d is None:
-                np.maximum.at(low_blk, j, np.where(v > 0.0, v, 0.0))
-            else:
-                up = v + d
-                lw = v - d
-                np.maximum.at(low_blk, j, np.where(lw > 0.0, lw, 0.0))
-                top = np.zeros(len(low_blk))
-                np.maximum.at(top, j, up)
-                floor = np.maximum.accumulate(low_blk)
-                np.maximum(floor, run, out=floor)
-                before = np.concatenate(([run], floor[:-1]))
-                # a NaN bound (overflow) passes both tests: the exact form
-                # decides it
-                k = ok[np.flatnonzero(~(top <= before)[j] & ~(up < floor[j]))]
-                if k.size:
-                    np.maximum.at(low_blk, T[k] - lo, _curve_m_exact(st, conj, tau[k], cs[k], T[k], St[k]))
-            run = max(run, low_blk.max(initial=0.0))
+        P, dP = P[0], dP[0]
+    low = np.zeros(pop.shape[1] + 1)
+    run = 0.0
+    # with theta0 unknown the first candidate (tau = 0) has no pre-change
+    # data and contributes 0
+    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1):
+        cs, St = S[tau], S[T]
+        pre = None if known else (P[tau], dP[tau], P[T], dP[T])
+        ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
+        j = T[ok] - lo
+        low_blk = low[lo:hi]
+        if d is None:
+            np.maximum.at(low_blk, j, np.where(v > 0.0, v, 0.0))
+        else:
+            up = v + d
+            lw = v - d
+            np.maximum.at(low_blk, j, np.where(lw > 0.0, lw, 0.0))
+            top = np.zeros(len(low_blk))
+            np.maximum.at(top, j, up)
+            floor = np.maximum.accumulate(low_blk)
+            np.maximum(floor, run, out=floor)
+            before = np.concatenate(([run], floor[:-1]))
+            # a NaN bound (overflow) passes both tests: the exact form
+            # decides it
+            k = ok[np.flatnonzero(~(top <= before)[j] & ~(up < floor[j]))]
+            if k.size:
+                m = [curve_m(states[r], spec, *pair) for r, *pair in zip(
+                    row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())]
+                np.maximum.at(low_blk, T[k] - lo, m)
+        run = max(run, low_blk.max(initial=0.0))
     return 2.0 * np.maximum.accumulate(low[1:])
 
 
@@ -388,115 +401,48 @@ class DelayRow:
 
 
 def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list[int | None]:
-    """`first_detection` of every stream, with all streams stepped in lockstep.
+    """`first_detection` of every stream, by `stat_running_max`'s two passes
+    run on all streams together.
 
-    Each (stream, direction) pair is one row of ``[rows, K]`` candidate
-    stacks (tau, prefix sum) with a stored count per row; K grows with the
-    largest count.  A step appends each row's newest candidate, runs the
-    tail-merge cascade as a masked loop until no row merges, applies the
-    known-theta0 null barrier as a mask, then prices every stored
-    candidate with `_curve_m_arr`.  A pair fires for certain where
+    Each (stream, direction) is one row: `_pop_steps` logs when each of its
+    candidates leaves the stored set (a shorter stream's row is padded
+    with candidates stored for 0 steps), and `_block_pairs` yields every
+    row's (stored candidate, step) pairs a block of steps at a time.  In
+    each block the pairs of streams that have fired are dropped and the
+    rest priced with `_curve_m_arr`.  A pair fires for certain where
     2 (v - d) reaches the threshold and cannot fire where 2 (v + d) stays
     below it; only the pairs between are redone exactly by
-    `_curve_m_exact`.  A stream leaves the lockstep at its first detection
-    or its end.
+    `pruning.curve_m`.  A stream's detection is the smallest step among
+    its firing pairs in the first block where any fire, and the pass stops
+    once every stream has fired.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
     With theta0 unknown, T A(S_T / T) of each prefix mean is priced once
-    per step, with its bound, and serves as the pooled term and, later, as
-    the pre-change term; the exact form takes the conjugates it needs
-    itself.
+    per step of each stream, with its bound, and serves as the pooled term
+    and as the pre-change term; the exact form takes the conjugates it
+    needs itself.
 
     On degenerate data (a segment mean the family rejects, as after
     prefix-sum cancellation) both paths raise the family's error, but not
-    always on the same streams: this one evaluates every stored candidate
-    and every prefix mean, the scalar path what its bounds and its walk
-    reach.
+    always on the same streams: this one evaluates every prefix mean to
+    the stream's end and every stored candidate of each block until the
+    stream fires, the scalar path what its bounds and its walk reach.
     """
     spec = config.spec
-    conj = spec.conjugate
     thr = config.threshold
-    states = Detector(config).states
-    known = config.theta0 is not None
-    g_rows = [spec.suff_arr(np.asarray(s, dtype=float)) for s in streams]
-    n_streams = len(g_rows)
+    states, S, P, dP, pop, sign = _rows(config, streams)
+    known = P is None
+    n_streams, n_dir = len(streams), len(states)
     out: list[int | None] = [None] * n_streams
-    ends = np.array([len(g) for g in g_rows], dtype=np.int64)
-    width = int(ends.max(initial=0))
-    # prefix sums S[:, T] = g_1 + ... + g_T, accumulated left to right as
-    # `update` does
-    S = np.zeros((n_streams, width + 1))
-    for r, g in enumerate(g_rows):
-        np.cumsum(g, out=S[r, 1:len(g) + 1])
-    # i A(S_i / i) of the prefix means as priced, and its bound, theta0
-    # unknown
-    P = np.empty_like(S)
-    dP = np.empty_like(S)
-    st0 = states[0]
-    g0 = st0.g0
-    n_dir = len(states)
-    # rows come in blocks of n_dir per stream, in stream order; a stream
-    # leaves with its whole block
-    lane = np.repeat(np.arange(n_streams), n_dir)
-    sign = np.tile(np.array([float(st.sign) for st in states]), n_streams)
     live = np.ones(n_streams, dtype=bool)
-    cap = 8
-    tau = np.zeros((len(lane), cap), dtype=np.int64)
-    cs = np.zeros((len(lane), cap))
-    cnt = np.zeros(len(lane), dtype=np.int64)
-    for T in range(1, width + 1):
-        keep = live[lane] & (ends[lane] >= T)
-        if not keep.all():
-            lane, sign, tau, cs, cnt = lane[keep], sign[keep], tau[keep], cs[keep], cnt[keep]
-        rows = len(lane)
-        if rows == 0:
-            break
-        St = S[lane, T]
-        if not known:
-            # T A(S_T / T): the pooled term now, and the pre-change term of
-            # the candidate at tau = T from the next step on
-            ln = lane[::n_dir]
-            P[ln, T], dP[ln, T] = _prefix_terms(spec, S[ln, T], T)
-        if cnt.max() == cap:
-            tau = np.concatenate([tau, np.zeros_like(tau)], axis=1)
-            cs = np.concatenate([cs, np.zeros_like(cs)], axis=1)
-            cap *= 2
-        at = np.arange(rows)
-        tau[at, cnt] = T - 1
-        cs[at, cnt] = S[lane, T - 1]
-        cnt += 1
-
-        # tail merge: pop the newest candidate while its suffix mean is not
-        # strictly past the mean of the segment before it
-        r = np.nonzero(cnt >= 2)[0]
-        while r.size:
-            k = cnt[r]
-            lt, lc = tau[r, k - 1], cs[r, k - 1]
-            suf_mean = (St[r] - lc) / (T - lt)
-            seg_mean = (lc - cs[r, k - 2]) / (lt - tau[r, k - 2])
-            r = r[~((suf_mean - seg_mean) * sign[r] > 0)]
-            cnt[r] -= 1
-            r = r[cnt[r] >= 2]
-        if known:
-            r = np.nonzero(cnt == 1)[0]
-            suf_mean = (St[r] - cs[r, 0]) / (T - tau[r, 0])
-            cnt[r[(suf_mean - g0) * sign[r] <= 0]] = 0
-        elif T < 2:
-            continue
-
-        # every stored candidate; with theta0 unknown the first (tau = 0)
-        # has no pre-change data and contributes 0
-        first = 0 if known else 1
-        rr, jj = np.nonzero(np.arange(first, cap) < cnt[:, None])
-        jj += first
-        ti, si, Si = tau[rr, jj], cs[rr, jj], St[rr]
-        if known:
-            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr])
-        else:
-            lr = lane[rr]
-            pre = P[lr, ti], dP[lr, ti], P[lr, T], dP[lr, T]
-            ok, v, d = _curve_m_arr(st0, spec, ti, si, T, Si, sign[rr], pre)
+    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1):
+        ln = row // n_dir
+        keep = np.flatnonzero(live[ln])
+        row, ln, tau, T = row[keep], ln[keep], tau[keep], T[keep]
+        cs, St = S[ln, tau], S[ln, T]
+        pre = None if known else (P[ln, tau], dP[ln, tau], P[ln, T], dP[ln, T])
+        ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
         if d is None:
             fire = ok[2.0 * v >= thr]
         else:
@@ -506,13 +452,17 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             sure = 2.0 * (v[c] - d[c]) >= thr
             fire, k = ok[c[sure]], ok[c[~sure]]
             if k.size:
-                m = _curve_m_exact(st0, conj, ti[k], si[k], T, Si[k])
+                m = np.array([curve_m(states[r % n_dir], spec, *pair) for r, *pair in zip(
+                    row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
                 fire = np.concatenate([fire, k[2.0 * m >= thr]])
-        fired = lane[rr[fire]]
-        if fired.size:
-            live[fired] = False
-            for i in fired.tolist():
-                out[i] = T
+        if fire.size:
+            at = np.full(n_streams, hi)
+            np.minimum.at(at, ln[fire], T[fire])
+            for i in np.flatnonzero(at < hi).tolist():
+                out[i] = int(at[i])
+            live[at < hi] = False
+            if not live.any():
+                break
     return out
 
 
@@ -522,8 +472,8 @@ def delay_experiment(runs: list[DelayRun], reps: int) -> list[DelayRow]:
 
     Replicates of different runs share seeds, so two models of the same
     scenario see identical data (paired comparison).  The replicates of a
-    run are stepped in lockstep, with detection times equal to
-    `first_detection` on each replicate's stream.
+    run go through `_first_detections` together, with detection times
+    equal to `first_detection` on each replicate's stream.
     """
     require_int("reps", reps)
     if reps < 1:

@@ -85,7 +85,7 @@ def update(state: PruneState, g: float) -> PruneState:
     the null barrier when the pre-change parameter is known.  Amortized O(1):
     each candidate is appended once and removed at most once.  The cascade
     and the barrier are mirrored, expression for expression, by
-    `bench._pop_steps` and `bench._first_detections`: change all three.
+    `bench._pop_steps`, which both Monte Carlo kernels run: change both.
     """
     c = state.counters
     c.steps += 1

@@ -141,17 +141,31 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
     g = generate(Scenario(GM, 0.0, 1.0, 400, 2 * _BLOCK + 37, seed=11)).tolist()
     for theta0 in (0.0, None):
         cfg = DetectorConfig(GM, theta0, 1.0, "both")
-        for st, ref in zip(Detector(cfg).states, Detector(cfg).states):
+        pops, want = [], set()
+        for row, (st, ref) in enumerate(zip(Detector(cfg).states, Detector(cfg).states)):
             stored = set()
             for T, gi in enumerate(g, 1):
                 update(ref, gi)
                 stored.update((r.tau, T) for r in ref.records)
             pop = bench._pop_steps(st, g)
             for first_tau in (0, 1):
-                got = [(a, b) for tau, T in bench._block_pairs(pop, first_tau)
+                got = [(a, b) for _, _, _, tau, T in bench._block_pairs(pop[None], first_tau)
                        for a, b in zip(tau.tolist(), T.tolist())]
                 assert len(got) == len(set(got))
                 assert set(got) == {(a, b) for a, b in stored if a >= first_tau}
+            pops.append(pop)
+            want.update((row, a, b) for a, b in stored)
+        # both directions as two rows: blocks of half the steps
+        for first_tau in (0, 1):
+            got, edges = [], []
+            for lo, hi, row, tau, T in bench._block_pairs(np.array(pops), first_tau):
+                assert ((lo <= T) & (T < hi)).all()
+                edges.append((lo, hi))
+                got += zip(row.tolist(), tau.tolist(), T.tolist())
+            assert len(got) == len(set(got))
+            assert set(got) == {(r, a, b) for r, a, b in want if a >= first_tau}
+            step = max(1, block // 2)
+            assert edges == [(lo, min(lo + step, len(g) + 1)) for lo in range(1, len(g) + 1, step)]
 
 
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
@@ -216,6 +230,26 @@ def test_running_max_memory_beyond_its_arrays_is_flat():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 128 * (sizes[1] - sizes[0])
+
+
+def test_first_detections_memory_beyond_its_arrays_is_flat():
+    # the O(replicates x T) arrays (sufficient statistics, prefix sums, both
+    # directions' pop steps, the priced prefix terms and their bounds) take
+    # about 54 bytes a replicate step here; with whole 1024-step blocks for
+    # every row the per-pair arrays of the vector pass would add about 2300
+    # more, growing with the number of replicates
+    cfg = DetectorConfig(GM, None, 1e12, "both")
+    reps, length = (10, 40), 1000
+    peaks = []
+    for n in reps:
+        streams = [generate(Scenario(GM, 0.0, 0.0, 0, length, seed=s)) for s in range(n)]
+        tracemalloc.start()
+        try:
+            assert _first_detections(cfg, streams) == [None] * n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 128 * (reps[1] - reps[0]) * length
 
 
 def test_run_length_monotone_in_threshold():
@@ -320,7 +354,7 @@ def test_delay_experiment_rejects_reps_below_one():
 
 
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
-def test_lanes_equal_scalar_first_detection(family):
+def test_lanes_equal_scalar_first_detection(family, monkeypatch):
     spec, pre, post = LANE_FAMILIES[family]
     rng = np.random.default_rng(100 + family)
     times = []
@@ -336,8 +370,11 @@ def test_lanes_equal_scalar_first_detection(family):
                     streams.append(generate(scen))
                 streams += [streams[0][:k] for k in (0, 1, 2)]
                 want = [first_detection(cfg, s) for s in streams]
-                assert _first_detections(cfg, streams) == want
-                assert [_first_detections(cfg, [s])[0] for s in streams[2:]] == want[2:]
+                # blocks of 7 row-steps let the streams fire in different blocks
+                for block in (_BLOCK, 7):
+                    monkeypatch.setattr(bench, "_BLOCK", block)
+                    assert _first_detections(cfg, streams) == want
+                    assert [_first_detections(cfg, [s])[0] for s in streams[2:]] == want[2:]
                 times += want
     assert _first_detections(cfg, []) == []
     # lanes that fire at the first step (theta0 known), later, and never
