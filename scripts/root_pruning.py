@@ -161,7 +161,6 @@ def update_root_pruning(
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     c = state.counters
-    c.steps += 1
     recs = state.records
     recs.append(RootRecord(state.total_count, state.total_sum))
     state.total_count += 1

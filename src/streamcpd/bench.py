@@ -185,36 +185,33 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     """What both Monte Carlo kernels price, with one row per (stream,
     direction): (states, S, P, dP, pop, sign).
 
-    ``states`` are the config's empty direction states, and row
-    i * len(states) + k is stream i in direction k.  S[i, T] is stream i's
-    prefix sum g_1 + ... + g_T, accumulated left to right as `update`
+    The streams must all have one length; a batch of two lengths raises
+    ValueError.  ``states`` are the config's empty direction states, and
+    row i * len(states) + k is stream i in direction k.  S[i, T] is stream
+    i's prefix sum g_1 + ... + g_T, accumulated left to right as `update`
     does.  With theta0 unknown P[i, T] is T A(S[i, T] / T) as priced, with
-    its bound dP[i, T] (`_prefix_terms`), at the stream's own steps: the
-    pooled term at step T and the pre-change term of the candidate at
-    tau = T; with theta0 known both are None.  Row r of ``pop`` is
-    `_pop_steps` of its stream and direction, a shorter stream's row
-    padded with candidates stored for no step, and sign[r] its direction's
-    sign.
+    its bound dP[i, T] (`_prefix_terms`): the pooled term at step T and the
+    pre-change term of the candidate at tau = T; with theta0 known both are
+    None.  Row r of ``pop`` is `_pop_steps` of its stream and direction,
+    and sign[r] its direction's sign.
     """
     spec = config.spec
     states = Detector(config).states
     g_rows = [spec.suff_arr(np.asarray(s, dtype=float)) for s in streams]
-    ends = [len(g) for g in g_rows]
-    steps = np.arange(1, max(ends, default=0) + 1)
-    S = np.zeros((len(g_rows), len(steps) + 1))
+    if len({len(g) for g in g_rows}) > 1:
+        raise ValueError("the streams of one call must all have one length")
+    end = len(g_rows[0]) if g_rows else 0
+    S = np.zeros((len(g_rows), end + 1))
+    pop = np.empty((len(g_rows) * len(states), end), dtype=np.int64)
     for i, g in enumerate(g_rows):
-        np.cumsum(g, out=S[i, 1:len(g) + 1])
-    pop = np.tile(steps, (len(g_rows) * len(states), 1))
-    # one stream's observations as a list at a time
-    pops = (_pop_steps(st, g) for g in (a.tolist() for a in g_rows) for st in states)
-    for r, p in enumerate(pops):
-        pop[r, :len(p)] = p
+        np.cumsum(g, out=S[i, 1:])
+        g = g.tolist()  # one stream's observations as a list at a time
+        pop[i * len(states):(i + 1) * len(states)] = [_pop_steps(st, g) for st in states]
     P = dP = None
     if config.theta0 is None:
         P = np.zeros_like(S)
         dP = np.zeros_like(S)
-        own = steps <= np.array(ends)[:, None]
-        P[:, 1:][own], dP[:, 1:][own] = _prefix_terms(spec, S[:, 1:][own], (own * steps)[own])
+        P[:, 1:], dP[:, 1:] = _prefix_terms(spec, S[:, 1:], np.arange(1, end + 1))
     sign = np.array([float(st.sign) for st in states] * len(g_rows))
     return states, S, P, dP, pop, sign
 
@@ -236,15 +233,16 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     A pair's clipped statistic lies in [max(v - d, 0), max(v + d, 0)].
     ``low`` holds a lower bound on each step's statistic over both
     directions, and ``run`` the running maximum of ``low`` before the
-    block, carried across blocks.  A step whose largest upper bound is not
-    above the running maximum of ``low`` before it cannot move the path
-    and is skipped.  At any other step the pairs whose upper bound reaches
-    the running maximum of ``low`` up to it are redone exactly, and their
-    values raised into ``low``.  Every entry of ``low`` is then at most the
-    exact statistic of its step, every step that raises the exact path
-    finds its maximum, and the running maximum of ``low`` is the exact
-    path.  Where every conjugate was exact (d is None, as for gauss-mean)
-    the priced values go into ``low`` as they are.
+    block, carried across blocks.  The pairs' lower bounds go into ``low``
+    first, and ``floor`` is then the running maximum of ``run`` and
+    ``low``.  A pair at step j is redone exactly, and its value raised into
+    ``low``, if and only if not v + d <= floor[j]; a NaN bound is redone.
+    That is exact: every entry of ``low`` stays at most the exact statistic
+    of its step, so floor[j] is at most the exact path at step j, and a
+    pair that is not redone has its exact m <= v + d <= floor[j].  The
+    running maximum of ``low`` is therefore the exact path.  Where every
+    conjugate was exact (d is None, as for gauss-mean) the priced values
+    go into ``low`` as they are.
     """
     spec = config.spec
     states, S, P, dP, pop, sign = _rows(config, [data])
@@ -268,14 +266,10 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
             up = v + d
             lw = v - d
             np.maximum.at(low_blk, j, np.where(lw > 0.0, lw, 0.0))
-            top = np.zeros(len(low_blk))
-            np.maximum.at(top, j, up)
             floor = np.maximum.accumulate(low_blk)
             np.maximum(floor, run, out=floor)
-            before = np.concatenate(([run], floor[:-1]))
-            # a NaN bound (overflow) passes both tests: the exact form
-            # decides it
-            k = ok[np.flatnonzero(~(top <= before)[j] & ~(up < floor[j]))]
+            # a NaN bound (overflow) fails the test: the exact form decides it
+            k = ok[np.flatnonzero(~(up <= floor[j]))]
             if k.size:
                 m = [curve_m(states[r], spec, *pair) for r, *pair in zip(
                     row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())]
@@ -404,17 +398,16 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     """`first_detection` of every stream, by `stat_running_max`'s two passes
     run on all streams together.
 
-    Each (stream, direction) is one row: `_pop_steps` logs when each of its
-    candidates leaves the stored set (a shorter stream's row is padded
-    with candidates stored for 0 steps), and `_block_pairs` yields every
-    row's (stored candidate, step) pairs a block of steps at a time.  In
-    each block the pairs of streams that have fired are dropped and the
-    rest priced with `_curve_m_arr`.  A pair fires for certain where
-    2 (v - d) reaches the threshold and cannot fire where 2 (v + d) stays
-    below it; only the pairs between are redone exactly by
-    `pruning.curve_m`.  A stream's detection is the smallest step among
-    its firing pairs in the first block where any fire, and the pass stops
-    once every stream has fired.
+    The streams must all have one length (see `_rows`).  Each (stream,
+    direction) is one row: `_pop_steps` logs when each of its candidates
+    leaves the stored set, and `_block_pairs` yields every row's (stored
+    candidate, step) pairs a block of steps at a time.  In each block the
+    pairs of streams that have fired are dropped and the rest priced with
+    `_curve_m_arr`.  A pair fires for certain where 2 (v - d) reaches the
+    threshold and cannot fire where 2 (v + d) stays below it; only the
+    pairs between are redone exactly by `pruning.curve_m`.  A stream's
+    detection is the smallest step among its firing pairs in the first
+    block where any fire, and the pass stops once every stream has fired.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
@@ -472,8 +465,9 @@ def delay_experiment(runs: list[DelayRun], reps: int) -> list[DelayRow]:
 
     Replicates of different runs share seeds, so two models of the same
     scenario see identical data (paired comparison).  The replicates of a
-    run go through `_first_detections` together, with detection times
-    equal to `first_detection` on each replicate's stream.
+    run all have its scenario's length and go through `_first_detections`
+    together, with detection times equal to `first_detection` on each
+    replicate's stream.
     """
     require_int("reps", reps)
     if reps < 1:

@@ -43,6 +43,14 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, required=True, help="detection threshold (doubled-LR scale)")
 
 
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theta-pre", dest="theta_pre", type=float, required=True)
+    p.add_argument("--theta-post", dest="theta_post", type=float)
+    p.add_argument("--change-at", dest="change_at", type=int, default=0)
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+
+
 def _build_spec(args, parser: argparse.ArgumentParser) -> FamilySpec:
     try:
         return FamilySpec(FamilyKind(args.family), trials=args.trials, shape=args.shape)
@@ -308,22 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a reproducible stream for a scenario")
     _add_family_flags(p)
-    p.add_argument("--theta-pre", dest="theta_pre", type=float, required=True)
-    p.add_argument("--theta-post", dest="theta_post", type=float)
-    p.add_argument("--change-at", dest="change_at", type=int, default=0)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _add_scenario_flags(p)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=run_simulate)
 
     p = sub.add_parser("bench", help="counter profiles and delay experiments (CSV)")
     p.add_argument("--experiment", choices=["counters", "delays"], required=True)
     _add_detector_flags(p)
-    p.add_argument("--theta-pre", dest="theta_pre", type=float, required=True)
-    p.add_argument("--theta-post", dest="theta_post", type=float)
-    p.add_argument("--change-at", dest="change_at", type=int, default=0)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _add_scenario_flags(p)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--mode", choices=["adaptive", "full"], default="adaptive")
     p.add_argument("--square-data", dest="square_data", action="store_true",

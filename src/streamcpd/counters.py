@@ -16,5 +16,4 @@ class CounterSet:
     curves_stored_sum: int = 0
     curves_evaluated_sum: int = 0
     transcendental_calls: int = 0
-    steps: int = 0
 

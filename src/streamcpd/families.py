@@ -161,7 +161,7 @@ def _gauss_mean(_) -> _Forms:
         suff=suff,
         conjugate=lambda g: g * g / 2.0,
         # no log: the same two roundings as the scalar form, so exact
-        conjugate_arr=lambda np, g, e: (g * g / 2.0, np.zeros(len(g))),
+        conjugate_arr=lambda np, g, e: (g * g / 2.0, np.zeros_like(g)),
         inverse_cdf=lambda t, u: t + _special().ndtri(u),
     )
 
@@ -412,7 +412,7 @@ class FamilySpec:
         return self._forms.mean_suff(theta)
 
     def conjugate_arr(self, g):
-        """`conjugate` over an array of means, priced with numpy's log.
+        """`conjugate` over an array of means, of any shape, priced with numpy's log.
 
         Returns (v, d): the values, the scalar form's expressions in its
         order with ``numpy.log`` for ``math.log``, and per-element bounds
@@ -455,7 +455,8 @@ class FamilySpec:
         g = np.asarray(g, dtype=float)
         out = self._forms.conjugate_arr(np, g, LOG_ULP_GAP * _EPS)
         if out is None or not np.isfinite(out[0]).all():
-            return np.fromiter(map(self.conjugate, g.tolist()), float, len(g)), np.zeros(len(g))
+            v = np.fromiter(map(self.conjugate, g.ravel().tolist()), float, g.size)
+            return v.reshape(g.shape), np.zeros_like(g)
         return out
 
     def suff_arr(self, x):

@@ -88,7 +88,6 @@ def update(state: PruneState, g: float) -> PruneState:
     `bench._pop_steps`, which both Monte Carlo kernels run: change both.
     """
     c = state.counters
-    c.steps += 1
     recs = state.records
     recs.append(CurveRecord(state.total_count, state.total_sum))
     state.total_count += 1

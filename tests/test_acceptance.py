@@ -77,7 +77,7 @@ def test_a1_oracle_equivalence_and_stopping_times():
                         pruned[t] = q_full(state, spec)[0]
                     rel = np.max(np.abs(2 * pruned - 2 * qs) / np.maximum(1.0, np.abs(2 * qs)))
                     worst_rel = max(worst_rel, float(rel))
-                    if state.counters.merges > 2 * state.counters.steps:
+                    if state.counters.merges > 2 * state.total_count:
                         merge_violations += 1
                     # stopping time at a mid-range threshold
                     peak = float(np.max(2 * qs))
@@ -123,7 +123,7 @@ def test_a2_cross_family_pruning_identity():
             elif taus != base:
                 mismatches += 1
     for st in states:
-        assert st.counters.merges <= 2 * st.counters.steps
+        assert st.counters.merges <= 2 * st.total_count
     report("A2", mismatches == 0,
            f"4 families, 500 steps, {mismatches} retained-set mismatches (exact equality)")
 
@@ -163,7 +163,7 @@ def test_a4_merge_budget_on_many_streams():
             st = new_state(Direction.UP if sd % 2 else Direction.DOWN, theta0, spec)
             for g in spec.suff_arr(data):
                 update(st, g)
-                if st.counters.merges > 2 * st.counters.steps:
+                if st.counters.merges > 2 * st.total_count:
                     violations += 1
     report("A4", violations == 0, f"80 streams, {violations} budget violations (merges <= 2T, exact)")
 

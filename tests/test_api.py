@@ -95,6 +95,27 @@ def test_benchmark_imports():
         assert callable(getattr(bench, name))
     assert cli.Detector is Detector
 
+    # the attributes the benchmark reads: a rename breaks its replicas
+    spec = FamilySpec.poisson()
+    cfg = DetectorConfig(spec, 1.0, 1e-3, "both", stat_every=1, stop_on_detect=False)
+    assert (cfg.stat_every, cfg.stop_on_detect) == (1, False)
+    det = Detector(cfg)
+    det.step(4.0)
+    assert det._t == det.t == 1 and det.config is cfg and det._stat_defined()
+    assert det.statistic() > 0.0
+    assert [st.direction for st in det.states] == [Direction.UP, Direction.DOWN]
+    for st in det.states:
+        assert isinstance(st.records, list)
+        c = st.counters
+        sums = (c.merges, c.curves_stored_sum, c.curves_evaluated_sum, c.transcendental_calls)
+        assert all(isinstance(v, int) for v in sums)
+    out = check(det.states[0], spec, cfg.threshold)
+    assert out.changed is True and out.tau_low == 0 and out.stat > 0.0 and out.curves_evaluated >= 1
+    res = calibrate_threshold(cfg, 100, 50, 1)
+    assert res.threshold > 0.0 and res.achieved_arl > 0.0 and res.rounds >= 1
+    rows = delay_experiment([DelayRun("a", cfg, Scenario(spec, 1.0, 3.0, 10, 30, 1))], 2)
+    assert {row.outcome for row in rows} <= {"detected", "false_positive", "censored"}
+
 
 def test_family_spec_pickles():
     for spec in (FamilySpec.gauss_mean(), FamilySpec.binomial(3), FamilySpec.gamma(2.5)):

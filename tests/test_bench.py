@@ -358,39 +358,48 @@ def test_lanes_equal_scalar_first_detection(family, monkeypatch):
     spec, pre, post = LANE_FAMILIES[family]
     rng = np.random.default_rng(100 + family)
     times = []
+    # per block size: whether some batch had streams fire in different
+    # blocks next to one that never fires
+    spread = dict.fromkeys((_BLOCK, 7), False)
     for known in (True, False):
         for direction in ("up", "down", "both"):
             # an immediate detection, two random thresholds and none at all
             for thr in (1e-3, *rng.uniform(2.0, 25.0, 2).tolist(), 1e12):
                 cfg = DetectorConfig(spec, pre if known else None, thr, direction)
-                streams = []
-                for change in (0, int(rng.integers(1, 150)), int(rng.integers(1, 150))):
-                    length = int(rng.integers(150, 220))
-                    scen = Scenario(spec, pre, post, change, length, int(rng.integers(2**31)))
-                    streams.append(generate(scen))
-                streams += [streams[0][:k] for k in (0, 1, 2)]
+                length = int(rng.integers(150, 220))
+                streams = [generate(Scenario(spec, pre, post, change, length, int(rng.integers(2**31))))
+                           for change in (0, *rng.integers(1, 150, 5).tolist())]
+                short = [streams[0][:k] for k in (0, 1, 2)]
                 want = [first_detection(cfg, s) for s in streams]
-                # blocks of 7 row-steps let the streams fire in different blocks
+                want_short = [first_detection(cfg, s) for s in short]
+                rows = len(streams) * len(Detector(cfg).states)
                 for block in (_BLOCK, 7):
                     monkeypatch.setattr(bench, "_BLOCK", block)
                     assert _first_detections(cfg, streams) == want
-                    assert [_first_detections(cfg, [s])[0] for s in streams[2:]] == want[2:]
-                times += want
+                    singles = streams[-1:] + short
+                    assert [_first_detections(cfg, [s])[0] for s in singles] == want[-1:] + want_short
+                    step = max(1, block // rows)
+                    blocks = {(t - 1) // step for t in want if t is not None}
+                    spread[block] |= len(blocks) > 1 and None in want
+                times += want + want_short
     assert _first_detections(cfg, []) == []
+    with pytest.raises(ValueError, match="one length"):
+        _first_detections(cfg, [streams[0], streams[1][:-1]])
     # lanes that fire at the first step (theta0 known), later, and never
     assert 1 in times and None in times and any(t is not None and t > 2 for t in times)
+    assert all(spread.values())
 
 
 def test_lanes_raise_on_a_degenerate_segment_like_scalar():
     # x^2 = 1e20 then 1e-20: the prefix-sum difference of the second step
     # cancels to 0.0, a degenerate gauss-var segment mean
     cfg = DetectorConfig(GV, None, 20.0, "both")
-    bad = np.array([1e10, 1e-10, 1.0, 2.0])
+    ordinary = [generate(Scenario(GV, 1.0, 3.0, 20, 60, seed=s)) for s in range(5)]
+    bad = np.concatenate(([1e10, 1e-10], ordinary[4][2:]))
     with pytest.raises(DegenerateSegmentError):
         first_detection(cfg, bad)
-    ordinary = [generate(Scenario(GV, 1.0, 3.0, 20, 60, seed=s)) for s in range(4)]
     with pytest.raises(DegenerateSegmentError):
-        _first_detections(cfg, [*ordinary[:2], bad, *ordinary[2:]])
+        _first_detections(cfg, [*ordinary[:2], bad, *ordinary[2:4]])
 
 
 # ------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_q_full_equals_oracle_every_step(spec, theta, gen, known, direction):
         check_invariants(state)
         q, _ = q_full(state, spec)
         assert abs(2 * q - 2 * oracle_q[t]) <= 1e-9 * max(1.0, abs(2 * oracle_q[t]))
-    assert state.counters.merges <= 2 * state.counters.steps
+    assert state.counters.merges <= 2 * state.total_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,7 +158,7 @@ def test_property_oracle_equivalence_gaussian(xs, direction, theta0):
         q, _ = q_full(state, GM)
         want = naive_q(GM, theta0, direction, xs[: t + 1]).q
         assert abs(2 * q - 2 * want) <= 1e-9 * max(1.0, abs(2 * want))
-    assert state.counters.merges <= 2 * state.counters.steps
+    assert state.counters.merges <= 2 * state.total_count
 
 
 def test_retained_count_grows_slowly():

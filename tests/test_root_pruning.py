@@ -78,7 +78,7 @@ def test_root_pruning_counts_transcendentals():
         update_root_pruning(st_root, PO.suff(x), PO, 1.0, 1e-11)
     assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
     assert st_mean.counters.transcendental_calls == 0  # mean pruning never takes logs
-    assert st_root.counters.transcendental_calls > 2 * st_root.counters.steps
+    assert st_root.counters.transcendental_calls > 2 * st_root.total_count
 
 
 def test_root_pruning_requires_known_theta0():
