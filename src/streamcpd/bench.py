@@ -126,9 +126,9 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
     step tau + 1, or ``len(g) + 1`` if it stays, for ``g`` fed to the empty
     ``state``, which is left as it is.
 
-    The tail-merge cascade and the null barrier of `pruning.update`, with
-    its expressions in its order, on bare stacks of the stored taus and
-    their prefix sums: both only ever pop the newest candidate.
+    The tail-merge cascade and the null barrier of `pruning._absorb`, in
+    its expressions and order, on bare stacks of the stored taus and their
+    prefix sums (both only pop the newest candidate): change both together.
     """
     end = len(g)
     pop = [end + 1] * end

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 from .errors import InsufficientDataError, SupportError
 from .families import Direction, FamilySpec
-from .maxima import attach_bounds, check
-from .pruning import PruneState, new_state, q_full, update
+from .maxima import _walk
+from .pruning import PruneState, _absorb, new_state, q_full
 
 _DIRECTIONS = {"up": (Direction.UP,), "down": (Direction.DOWN,), "both": (Direction.UP, Direction.DOWN)}
 
@@ -51,27 +51,27 @@ class Detection(NamedTuple):
 def step_states(
     states: list[PruneState], spec: FamilySpec, g: float, threshold: float | None
 ) -> tuple[Detection | None, int]:
-    """Absorb one sufficient statistic into every direction state.
-
-    Runs `update` and `attach_bounds` on each state, then `check` on each
-    when ``threshold`` is given and the statistic is defined.  Returns the
-    strongest detection (None without one) and the number of curves the
-    checks evaluated.  All states must have seen the same observations.
+    """Absorb one sufficient statistic into every direction state, which
+    must all have seen the same observations: `pruning._absorb` (`update`
+    and `attach_bounds`) on each, then `maxima._walk` (`check`'s walk) on
+    each if ``threshold`` is given and the statistic defined.  A threshold
+    that is not positive raises ValueError first.  Returns the strongest
+    detection (None without one) and the curves the walks evaluated.
     """
+    if threshold is not None and not threshold > 0:
+        raise ValueError("threshold must be positive")
     for st in states:
-        update(st, g)
-        attach_bounds(st, spec)
+        _absorb(st, g, spec)
     detection = None
     evals = 0
-    first = states[0]
     # with the pre-change parameter unknown the statistic needs at least
     # one point on each side of a split, so T < 2 can never detect
-    if threshold is not None and (first.theta0 is not None or first.total_count >= 2):
+    if threshold is not None and (states[0].theta0 is not None or states[0].total_count >= 2):
         for st in states:
-            out = check(st, spec, threshold)
-            evals += out.curves_evaluated
-            if out.changed and (detection is None or out.stat > detection.stat):
-                detection = Detection(st.total_count, out.tau_low, out.stat, st.direction)
+            tau, stat, n, _ = _walk(st, spec, threshold)
+            evals += n
+            if tau is not None and (detection is None or stat > detection.stat):
+                detection = Detection(st.total_count, tau, stat, st.direction)
     return detection, evals
 
 

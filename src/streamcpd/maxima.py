@@ -36,10 +36,10 @@ class CheckOutcome(NamedTuple):
 def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
     """Set the prefix bound of the candidate appended by the latest update.
 
-    Call once after every update.  The first candidate gets 0; a new
-    candidate gets its predecessor's bound plus the statistic of the segment
-    between them.  Candidates that merged away need nothing, and survivors
-    keep their bounds (their prefix segments are frozen).
+    Call once after every `update`; `step_states` sets it in `_absorb`.  The
+    first candidate gets 0; a new candidate gets its predecessor's bound plus
+    the statistic of the segment between them.  Merged candidates need
+    nothing, and survivors keep their bounds (their prefix segments are frozen).
     """
     recs = state.records
     if not recs:
@@ -59,39 +59,36 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
 
 
 def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome:
-    """Decide whether the doubled statistic crosses ``threshold``.
-
-    Walks candidates newest to oldest.  At each one, if twice (suffix stat +
-    prefix bound) is below the threshold, every remaining candidate is
-    certified below it and the walk stops; if twice the suffix stat itself
-    reaches the threshold, that is a detection on [tau, now].
-    """
+    """Decide whether the doubled statistic crosses ``threshold`` by `_walk`."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    recs = state.records
-    c = state.counters
-    T = state.total_count
-    St = state.total_sum
-    evals = 0
-    bound2 = 0.0
-    hit_tau: int | None = None
-    hit_stat: float | None = None
-    known = state.theta0 is not None
-    pooled = None if known or not recs else T * spec.conjugate(St / T)
+    hit_tau, hit_stat, evals, bound2 = _walk(state, spec, threshold)
+    return CheckOutcome(hit_tau is not None, hit_tau, state.total_count, hit_stat, evals, bound2)
 
-    for r in reversed(recs):
+
+def _walk(state: PruneState, spec: FamilySpec, threshold: float):
+    """`check`'s walk, newest candidate to oldest: (tau_low, stat,
+    curves_evaluated, bound_used) of its `CheckOutcome`.  Twice (suffix stat
+    + prefix bound) below the threshold certifies every remaining candidate
+    below it; twice the suffix stat reaching it is a detection on [tau, now].
+    """
+    T, St = state.total_count, state.total_sum
+    known = state.theta0 is not None
+    pooled = None if known or not state.records else T * spec.conjugate(St / T)
+    hit_tau = hit_stat = None
+    evals, bound2 = 0, 0.0
+    for r in reversed(state.records):
         m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled)
         evals += 1
         bound2 = 2.0 * (m + r.m_bound)
         if bound2 < threshold:
             break
         if 2.0 * m >= threshold:
-            hit_tau = r.tau
-            hit_stat = 2.0 * m
+            hit_tau, hit_stat = r.tau, 2.0 * m
             break
-
+    c = state.counters
     c.curves_evaluated_sum += evals
     c.transcendental_calls += evals * spec.transcendental_cost * (1 if known else 2)
     if pooled is not None:
         c.transcendental_calls += spec.transcendental_cost
-    return CheckOutcome(hit_tau is not None, hit_tau, T, hit_stat, evals, bound2)
+    return hit_tau, hit_stat, evals, bound2

@@ -79,44 +79,47 @@ def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> P
 
 
 def update(state: PruneState, g: float) -> PruneState:
-    """Absorb one observation's sufficient statistic g = g(x_T).
-
-    Appends the newest candidate, runs the tail merge cascade, then applies
-    the null barrier when the pre-change parameter is known.  Amortized O(1):
-    each candidate is appended once and removed at most once.  The cascade
-    and the barrier are mirrored, expression for expression, by
-    `bench._pop_steps`, which both Monte Carlo kernels run: change both.
-    """
-    c = state.counters
-    recs = state.records
-    recs.append(CurveRecord(state.total_count, state.total_sum))
-    state.total_count += 1
-    state.total_sum += g
-    T = state.total_count
-    St = state.total_sum
-    sign = state.sign
-
-    while len(recs) >= 2:
-        last = recs[-1]
-        prev = recs[-2]
-        suf_mean = (St - last.cum_sum) / (T - last.tau)
-        seg_mean = (last.cum_sum - prev.cum_sum) / (last.tau - prev.tau)
-        if (suf_mean - seg_mean) * sign > 0:
-            break
-        recs.pop()
-        c.merges += 1
-
-    if state.theta0 is not None and len(recs) == 1:
-        only = recs[0]
-        suf_mean = (St - only.cum_sum) / (T - only.tau)
-        if (suf_mean - state.g0) * sign <= 0:
-            recs.pop()
-            c.merges += 1
-            state.base_count = T
-            state.base_sum = St
-
-    c.curves_stored_sum += len(recs)
+    """Absorb g = g(x_T): `_absorb` without the prefix bound (`attach_bounds`)."""
+    _absorb(state, g, None)
     return state
+
+
+def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> None:
+    """Append the newest candidate, run the tail merge cascade, then the null
+    barrier when theta0 is known; amortized O(1).  The newest is held as
+    (lt, lc) and stored only if it survives; given ``spec``, it gets its
+    prefix bound as from `maxima.attach_bounds`.  `bench._pop_steps` mirrors
+    the cascade and the barrier expression for expression: change both.
+    """
+    recs = state.records
+    lt, lc = state.total_count, state.total_sum
+    T = state.total_count = lt + 1
+    St = state.total_sum = lc + g
+    sign = state.sign
+    n = len(recs)  # recs[:n] are the candidates older than (lt, lc)
+    while n:
+        prev = recs[n - 1]
+        if ((St - lc) / (T - lt) - (lc - prev.cum_sum) / (lt - prev.tau)) * sign > 0:
+            break
+        n -= 1
+        lt, lc = prev.tau, prev.cum_sum
+    c = state.counters
+    merges = len(recs) - n  # recs[n] is (lt, lc) if the new candidate merged
+    if state.theta0 is not None and not n and ((St - lc) / (T - lt) - state.g0) * sign <= 0:
+        c.merges += merges + 1
+        recs.clear()
+        state.base_count, state.base_sum = T, St
+        return
+    c.merges += merges
+    c.curves_stored_sum += n + 1
+    if merges:
+        del recs[n + 1:]
+        return
+    recs.append(CurveRecord(lt, lc))
+    if spec is not None and n:  # prev is recs[n - 1], where the cascade stopped
+        m = curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc)
+        c.transcendental_calls += spec.transcendental_cost * (1 if state.theta0 is not None else 3)
+        recs[n].m_bound = prev.m_bound + m
 
 
 def curve_m(

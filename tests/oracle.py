@@ -3,9 +3,11 @@
 Everything here maximises over every candidate changepoint by direct
 enumeration on raw prefix sums.  It shares the family closed forms but none
 of the pruned bookkeeping, so it stays an independent check of the streaming
-implementation.  O(T) per call; meant for desk-scale data only.  The one
-exception is `scalar_running_max`, the step-by-step form of
-`bench.stat_running_max` that its batched passes must equal bit for bit.
+implementation.  O(T) per call; meant for desk-scale data only.  The two
+exceptions are references that the library's fused or batched forms must
+equal bit for bit: `layered_step_states`, `detector.step_states` as calls of
+`update`, `attach_bounds` and `check`, and `scalar_running_max`, the
+step-by-step form of `bench.stat_running_max`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from streamcpd.detector import Detector, DetectorConfig
+from streamcpd.detector import Detection, Detector, DetectorConfig
 from streamcpd.families import Direction, FamilySpec
+from streamcpd.maxima import attach_bounds, check
 from streamcpd.pruning import q_full, update
 
 
@@ -187,3 +190,22 @@ def scalar_running_max(config: DetectorConfig, data) -> np.ndarray:
             run = v
         out[i] = run
     return out
+
+
+def layered_step_states(states, spec: FamilySpec, g: float, threshold: float | None):
+    """`detector.step_states` through the public layers: `update` and
+    `attach_bounds` on every state, then `check` on every state when
+    ``threshold`` is given and the statistic is defined."""
+    for st in states:
+        update(st, g)
+        attach_bounds(st, spec)
+    detection = None
+    evals = 0
+    first = states[0]
+    if threshold is not None and (first.theta0 is not None or first.total_count >= 2):
+        for st in states:
+            out = check(st, spec, threshold)
+            evals += out.curves_evaluated
+            if out.changed and (detection is None or out.stat > detection.stat):
+                detection = Detection(st.total_count, out.tau_low, out.stat, st.direction)
+    return detection, evals
