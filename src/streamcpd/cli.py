@@ -20,9 +20,11 @@ import sys
 
 from .detector import Detector, DetectorConfig
 from .errors import CalibrationError, StreamCpdError
-from .families import FamilyKind, FamilySpec
+from .families import Direction, FamilyKind, FamilySpec
 
 _FAMILY_CHOICES = [k.value for k in FamilyKind]
+_DIRECTION_NAMES = {d: d.name.lower() for d in Direction}
+_SUBCOMMANDS = ("detect", "calibrate", "simulate", "bench")
 
 
 def _fmt17(v: float) -> str:
@@ -144,18 +146,21 @@ def _write_output(path: str, write) -> int:
 
 
 def _detect_lines(detector: Detector, fin, fout) -> int:
+    """Step ``detector`` on each line; only a line ``float`` rejects is stripped and classified."""
     stop_on_detect = detector.config.stop_on_detect
-    step = detector.step
-    write = fout.write
+    step, write = detector.step, fout.write
     for lineno, raw in enumerate(fin, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
-            x = float(line)
+            x = float(raw)
         except ValueError:
-            print(f"error: line {lineno}: {_bad_line(line)}", file=sys.stderr)
-            return 2
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                x = float(line)  # strip() also removes \x1c-\x1f, which float() does not
+            except ValueError:
+                print(f"error: line {lineno}: {_bad_line(line)}", file=sys.stderr)
+                return 2
         try:
             t, detection, stat, curves, evaluated = step(x)
         except StreamCpdError as e:
@@ -165,7 +170,7 @@ def _detect_lines(detector: Detector, fin, fout) -> int:
             write(
                 f'{{"t": {t}, "curves": {curves}, "evaluated": {evaluated}, "detect": true, '
                 f'"tau_low": {detection.tau_low}, "stat": {_fmt17(detection.stat)}, '
-                f'"direction": "{detection.direction_hit.name.lower()}"}}\n'
+                f'"direction": "{_DIRECTION_NAMES[detection.direction_hit]}"}}\n'
             )
             if stop_on_detect:
                 return 3
@@ -286,56 +291,66 @@ def run_bench(args, parser: argparse.ArgumentParser) -> int:
 # ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with only ``subcommand``'s arguments if it names one: a third of the cost."""
     parser = argparse.ArgumentParser(
         prog="streamcpd",
         description="Online changepoint detection via exact one-sided likelihood-ratio tests",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    wanted = (subcommand,) if subcommand in _SUBCOMMANDS else _SUBCOMMANDS
+    # with one added, the metavar keeps all four names in the usage line errors print
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if len(wanted) == 1 else None)
 
-    p = sub.add_parser("detect", help="stream values from a file or stdin and emit NDJSON events")
-    _add_detector_flags(p)
-    p.add_argument("--input", "-i", default="-", help="input path or - for stdin")
-    p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-    p.add_argument("--stat-every", dest="stat_every", type=int, default=0,
-                   help="emit the full statistic every K steps (0 = never)")
-    p.add_argument("--no-stop", action="store_true", help="keep running after a detection")
-    p.set_defaults(func=run_detect)
+    if "detect" in wanted:
+        p = sub.add_parser("detect", help="stream values from a file or stdin and emit NDJSON events")
+        _add_detector_flags(p)
+        p.add_argument("--input", "-i", default="-", help="input path or - for stdin")
+        p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
+        p.add_argument("--stat-every", dest="stat_every", type=int, default=0,
+                       help="emit the full statistic every K steps (0 = never)")
+        p.add_argument("--no-stop", action="store_true", help="keep running after a detection")
+        p.set_defaults(func=run_detect)
 
-    p = sub.add_parser("calibrate", help="Monte Carlo threshold calibration for a target ARL")
-    _add_family_flags(p)
-    p.add_argument("--theta0", required=True)
-    p.add_argument("--direction", choices=["up", "down", "both"], default="both")
-    p.add_argument("--target-arl", dest="target_arl", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--null-theta", dest="null_theta", type=float,
-                   help="simulation parameter when theta0 is unknown")
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=run_calibrate)
+    if "calibrate" in wanted:
+        p = sub.add_parser("calibrate", help="Monte Carlo threshold calibration for a target ARL")
+        _add_family_flags(p)
+        p.add_argument("--theta0", required=True)
+        p.add_argument("--direction", choices=["up", "down", "both"], default="both")
+        p.add_argument("--target-arl", dest="target_arl", type=int, required=True)
+        p.add_argument("--reps", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--null-theta", dest="null_theta", type=float,
+                       help="simulation parameter when theta0 is unknown")
+        p.add_argument("--output", "-o", default="-")
+        p.set_defaults(func=run_calibrate)
 
-    p = sub.add_parser("simulate", help="write a reproducible stream for a scenario")
-    _add_family_flags(p)
-    _add_scenario_flags(p)
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=run_simulate)
+    if "simulate" in wanted:
+        p = sub.add_parser("simulate", help="write a reproducible stream for a scenario")
+        _add_family_flags(p)
+        _add_scenario_flags(p)
+        p.add_argument("--output", "-o", default="-")
+        p.set_defaults(func=run_simulate)
 
-    p = sub.add_parser("bench", help="counter profiles and delay experiments (CSV)")
-    p.add_argument("--experiment", choices=["counters", "delays"], required=True)
-    _add_detector_flags(p)
-    _add_scenario_flags(p)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--mode", choices=["adaptive", "full"], default="adaptive")
-    p.add_argument("--square-data", dest="square_data", action="store_true",
-                   help="feed squared values to the detector (delays experiment)")
-    p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=run_bench)
+    if "bench" in wanted:
+        p = sub.add_parser("bench", help="counter profiles and delay experiments (CSV)")
+        p.add_argument("--experiment", choices=["counters", "delays"], required=True)
+        _add_detector_flags(p)
+        _add_scenario_flags(p)
+        p.add_argument("--reps", type=int, default=100)
+        p.add_argument("--mode", choices=["adaptive", "full"], default="adaptive")
+        p.add_argument("--square-data", dest="square_data", action="store_true",
+                       help="feed squared values to the detector (delays experiment)")
+        p.add_argument("--output", "-o", default="-")
+        p.set_defaults(func=run_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line, building only the parser of the subcommand it names first."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     return args.func(args, parser)
 

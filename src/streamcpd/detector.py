@@ -96,36 +96,37 @@ class Detector:
             new_state(d, config.theta0, config.spec) for d in _DIRECTIONS[config.direction]
         ]
         self._t = 0
+        # what every step reads of the frozen config, bound once
+        self._suff, self._spec, self._threshold = config.spec.suff, config.spec, config.threshold
+        self._stat_every = config.stat_every
+        self._need = 1 if config.theta0 is not None else 2  # observations the statistic needs
 
     @property
     def t(self) -> int:
         return self._t
 
     def step(self, x: float) -> StepResult:
-        """Process one observation; returns counters and any detection."""
-        cfg = self.config
-        spec = cfg.spec
+        """Process one observation; returns counters and any detection.  Beyond
+        `step_states` it costs `suff` and, every ``stat_every`` steps, `statistic`."""
         try:
-            g = spec.suff(x)
+            g = self._suff(x)
         except SupportError as e:
             raise SupportError(f"stream position {self._t + 1}: {e}") from e
-        self._t += 1
-        detection, evals = step_states(self.states, spec, g, cfg.threshold)
+        self._t = t = self._t + 1
+        detection, evals = step_states(self.states, self._spec, g, self._threshold)
         stat = None
-        if cfg.stat_every and self._t % cfg.stat_every == 0 and self._stat_defined():
+        if self._stat_every and t % self._stat_every == 0 and self._stat_defined():
             stat = self.statistic()
         stored = 0
         for st in self.states:
             stored += len(st.records)
-        return StepResult(self._t, detection, stat, stored, evals)
+        return StepResult(t, detection, stat, stored, evals)
 
     def _stat_defined(self) -> bool:
-        need = 1 if self.config.theta0 is not None else 2
-        return self._t >= need
+        return self._t >= self._need
 
     def statistic(self) -> float:
         """Current doubled statistic; forces full evaluation of every curve."""
         if not self._stat_defined():
-            need = 1 if self.config.theta0 is not None else 2
-            raise InsufficientDataError(f"statistic undefined before {need} observations")
+            raise InsufficientDataError(f"statistic undefined before {self._need} observations")
         return 2.0 * max(q_full(st, self.config.spec)[0] for st in self.states)

@@ -140,6 +140,7 @@ class _Forms(NamedTuple):
     beta_fn: Callable[[float], float]
     mean_suff: Callable[[float], float]
     suff: Callable[[float], float]
+    suff_arr: Callable  # (numpy, observations) -> suff of each, or None where one is outside the support
     conjugate: Callable[[float], float]
     # (numpy, means array, e) -> (values, bounds), or None where a mean is
     # outside the family's range; see `FamilySpec.conjugate_arr`
@@ -159,6 +160,7 @@ def _gauss_mean(_) -> _Forms:
         beta_fn=lambda t: t * t / 2.0,
         mean_suff=lambda t: t,
         suff=suff,
+        suff_arr=lambda np, x: x if np.isfinite(x).all() else None,
         conjugate=lambda g: g * g / 2.0,
         # no log: the same two roundings as the scalar form, so exact
         conjugate_arr=lambda np, g, e: (g * g / 2.0, np.zeros_like(g)),
@@ -195,6 +197,7 @@ def _gauss_var(_) -> _Forms:
         beta_fn=lambda t: 0.5 * math.log(t),
         mean_suff=lambda t: t,
         suff=suff,
+        suff_arr=lambda np, x: x * x if (np.isfinite(x) & (x != 0)).all() else None,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: math.sqrt(t) * _special().ndtri(u),
@@ -227,6 +230,7 @@ def _poisson(_) -> _Forms:
         beta_fn=lambda t: t,
         mean_suff=lambda t: t,
         suff=suff,
+        suff_arr=lambda np, x: x if (np.isfinite(x) & (x >= 0) & (x == np.floor(x))).all() else None,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: _search_quantile(
@@ -268,6 +272,7 @@ def _binomial(n) -> _Forms:
         beta_fn=lambda t: -n * math.log(1.0 - t),
         mean_suff=lambda t: n * t,
         suff=suff,
+        suff_arr=lambda np, x: x if (np.isfinite(x) & (x >= 0) & (x <= n) & (x == np.floor(x))).all() else None,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         # P(X <= k) = 1 - I_t(k + 1, n - k) for k < n, I the regularized
@@ -309,6 +314,7 @@ def _gamma(kk) -> _Forms:
         beta_fn=lambda t: kk * math.log(t),
         mean_suff=lambda t: kk * t,
         suff=suff,
+        suff_arr=lambda np, x: x if (np.isfinite(x) & (x > 0)).all() else None,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: t * _special().gammaincinv(kk, u),  # scale parametrization
@@ -460,8 +466,11 @@ class FamilySpec:
         return out
 
     def suff_arr(self, x):
-        """`suff` over an array, with the same support validation."""
+        """`suff` over an array, with the same support validation: the family's
+        array test, or where a value fails it the scalar `suff` mapped, so that
+        the first bad value raises its usual error."""
         import numpy as np
 
-        suff = self.suff
-        return np.array([suff(v) for v in np.asarray(x, dtype=float).tolist()], dtype=float)
+        x = np.array(x, dtype=float)
+        g = self._forms.suff_arr(np, x)
+        return g if g is not None else np.array([self.suff(v) for v in x.tolist()], dtype=float)

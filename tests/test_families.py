@@ -330,6 +330,42 @@ def test_suff_arr_matches_scalar():
         PO.suff_arr(np.array([1.0, -2.0]))
 
 
+# spec, a draw of n values in the support, whether -0.0 is in it, and
+# values outside it besides the non-finite ones
+_SUFF_CASES = {
+    "gauss-mean": (GM, lambda rng, n: rng.normal(0.0, 1e3, n), True, []),
+    "gauss-var": (GV, lambda rng, n: rng.normal(0.0, 1e3, n), False, [0.0, -0.0]),
+    "poisson": (PO, lambda rng, n: rng.poisson(3.0, n).astype(float), True, [-1.0, 2.5, -0.5]),
+    "binomial": (BI4, lambda rng, n: rng.binomial(4, 0.5, n).astype(float), True, [-1.0, 2.5, 5.0]),
+    "gamma": (GA, lambda rng, n: rng.gamma(2.0, 1.0, n), False, [0.0, -0.0, -1.0]),
+}
+
+
+def _scalar_suff(spec, x):
+    return np.array([spec.suff(v) for v in x.tolist()], dtype=float)
+
+
+@pytest.mark.parametrize("name", _SUFF_CASES)
+def test_suff_arr_vector_test_is_the_scalar_loop(name):
+    spec, draw, signed_zero, bad = _SUFF_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for n in (0, 1, 7, 300):
+        x = draw(rng, n)
+        if signed_zero and n:
+            x[rng.integers(n)] = -0.0
+        got = spec.suff_arr(x)
+        assert got.dtype == float and got is not x
+        assert got.tobytes() == _scalar_suff(spec, x).tobytes()  # bit for bit, signs of zero too
+    for v in [math.nan, math.inf, -math.inf, *bad]:
+        x = draw(rng, 50)
+        x[rng.integers(50)] = v
+        with pytest.raises(SupportError) as scalar:
+            _scalar_suff(spec, x)
+        with pytest.raises(SupportError) as vector:
+            spec.suff_arr(x)
+        assert str(vector.value) == str(scalar.value)
+
+
 # ------------------------------------------------------------------
 # the array conjugates and their bounds
 # ------------------------------------------------------------------
