@@ -53,19 +53,22 @@ def main() -> int:
         "eval_mean", "trans_mean",
         "eval_adaptive", "trans_adaptive",
     ])
-    snap = lambda st: (st.counters.curves_evaluated_sum, st.counters.transcendental_calls)
+    # each step's counts are the running totals less the previous step's
+    snap = lambda: [(st.counters.curves_evaluated_sum, st.counters.transcendental_calls)
+                    for st in (st_root, st_mean, st_adap)]
+    before = snap()
     for i, g in enumerate(g_list):
-        before = [snap(st_root), snap(st_mean), snap(st_adap)]
         update_root_pruning(st_root, g, fam, args.theta, args.root_tol)
         q_full(st_root, fam)
         update(st_mean, g)
         q_full(st_mean, fam)
         step_states([st_adap], fam, g, args.threshold)
-        after = [snap(st_root), snap(st_mean), snap(st_adap)]
+        after = snap()
         row = [i + 1]
         for b, a in zip(before, after):
             row.extend([a[0] - b[0], a[1] - b[1]])
         w.writerow(row)
+        before = after
     if fout is not sys.stdout:
         fout.close()
 

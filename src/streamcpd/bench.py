@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .counters import CounterSet
 from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from . import families
@@ -79,7 +79,7 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
     """
     n = T - tau
     g_seg = (St - cum_sum) / n
-    e = _gap_unit()
+    e = families.LOG_ULP_GAP * families._EPS  # the log gap, read at each call
     if state.theta0 is not None:
         ok = np.flatnonzero((g_seg - state.g0) * sign > 0)
         g = g_seg[ok]
@@ -111,14 +111,9 @@ def _prefix_terms(spec, S, i):
     a, d = spec.conjugate_arr(S / i)
     p = i * a
     if d.any():
-        e = _gap_unit()
+        e = families.LOG_ULP_GAP * families._EPS
         d = i * d * (1.0 + 8.0 * e) + (np.abs(p) + _TINY) * (2.0 * e)
     return p, d
-
-
-def _gap_unit() -> float:
-    """e = `families.LOG_ULP_GAP` * 2**-52, read at each call."""
-    return families.LOG_ULP_GAP * families._EPS
 
 
 def _pop_steps(state, g: list[float]) -> np.ndarray:
@@ -216,6 +211,14 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     return states, S, P, dP, pop, sign
 
 
+def _exact(states, spec, k, row, tau, cs, T, St) -> np.ndarray:
+    """`pruning.curve_m` of the pairs ``k`` of a block, each with the state
+    of its row's direction: the exact redo of both Monte Carlo kernels."""
+    n_dir = len(states)
+    return np.array([curve_m(states[r % n_dir], spec, *pair) for r, *pair in zip(
+        row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
+
+
 def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     """Running maximum of the doubled statistic after each step.
 
@@ -227,8 +230,8 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     stored set, then every (direction, stored candidate, step) pair is
     priced in numpy by `_curve_m_arr`, the directions' rows stacked and a
     block of steps at a time (`_block_pairs`), and only the pairs that can
-    move the path are redone exactly by `pruning.curve_m`, with the state
-    of their direction.
+    move the path are redone exactly by `_exact`, as `_first_detections`
+    redoes its undecided pairs.
 
     A pair's clipped statistic lies in [max(v - d, 0), max(v + d, 0)].
     ``low`` holds a lower bound on each step's statistic over both
@@ -271,9 +274,7 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
             # a NaN bound (overflow) fails the test: the exact form decides it
             k = ok[np.flatnonzero(~(up <= floor[j]))]
             if k.size:
-                m = [curve_m(states[r], spec, *pair) for r, *pair in zip(
-                    row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())]
-                np.maximum.at(low_blk, T[k] - lo, m)
+                np.maximum.at(low_blk, T[k] - lo, _exact(states, spec, k, row, tau, cs, T, St))
         run = max(run, low_blk.max(initial=0.0))
     return 2.0 * np.maximum.accumulate(low[1:])
 
@@ -405,7 +406,7 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     pairs of streams that have fired are dropped and the rest priced with
     `_curve_m_arr`.  A pair fires for certain where 2 (v - d) reaches the
     threshold and cannot fire where 2 (v + d) stays below it; only the
-    pairs between are redone exactly by `pruning.curve_m`.  A stream's
+    pairs between are redone exactly by `_exact`.  A stream's
     detection is the smallest step among its firing pairs in the first
     block where any fire, and the pass stops once every stream has fired.
 
@@ -445,9 +446,7 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             sure = 2.0 * (v[c] - d[c]) >= thr
             fire, k = ok[c[sure]], ok[c[~sure]]
             if k.size:
-                m = np.array([curve_m(states[r % n_dir], spec, *pair) for r, *pair in zip(
-                    row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
-                fire = np.concatenate([fire, k[2.0 * m >= thr]])
+                fire = np.concatenate([fire, k[2.0 * _exact(states, spec, k, row, tau, cs, T, St) >= thr]])
         if fire.size:
             at = np.full(n_streams, hi)
             np.minimum.at(at, ln[fire], T[fire])
@@ -511,56 +510,45 @@ def mean_delay(rows: list[DelayRow], label: str, censor_value: int | None = None
 
 @dataclass(frozen=True)
 class CounterProfile:
+    """`counter_profile`'s int64 columns, summed over the directions: per
+    step, curves stored after it and curves evaluated, merges and log calls in it."""
+
     stored: np.ndarray
     evaluated: np.ndarray
     merges: np.ndarray
     transcendental: np.ndarray
-    detections: tuple[int, ...]
-    counters: tuple[CounterSet, ...]
+
+
+_TOTALS = attrgetter("curves_stored_sum", "curves_evaluated_sum", "merges", "transcendental_calls")
 
 
 def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "adaptive") -> CounterProfile:
     """Per-step stored/evaluated/merge/log counters over one stream.
 
-    ``mode="adaptive"`` uses the maxima check; ``mode="full"`` maximises over
-    every retained curve each step.  Counts are summed across directions;
-    detections never stop the run.
+    ``mode="adaptive"`` uses the maxima check; ``mode="full"`` runs
+    `pruning.q_full` on every direction after each step instead (from the
+    second step on with theta0 unknown), whose evaluations the columns
+    count.  Detections never stop the run.  Each step appends the
+    directions' running counter totals, and one difference after the last
+    step turns them into per-step counts.
     """
     if mode not in ("adaptive", "full"):
         raise ValueError("mode must be 'adaptive' or 'full'")
     spec = config.spec
     g_arr = spec.suff_arr(generate(scenario))
     states = Detector(config).states
-    n = len(g_arr)
-    stored = np.zeros(n, dtype=np.int64)
-    evaluated = np.zeros(n, dtype=np.int64)
-    merges = np.zeros(n, dtype=np.int64)
-    transcend = np.zeros(n, dtype=np.int64)
-    detections: list[int] = []
     thr = config.threshold if mode == "adaptive" else None
     known = config.theta0 is not None
+    totals: list[int] = []  # flat ints: nothing per step for the garbage collector to track
     for i, gi in enumerate(g_arr.tolist()):
-        m0 = sum(st.counters.merges for st in states)
-        e0 = sum(st.counters.curves_evaluated_sum for st in states)
-        t0 = sum(st.counters.transcendental_calls for st in states)
-        hit = step_states(states, spec, gi, thr)[0] is not None
+        step_states(states, spec, gi, thr)
         if thr is None and (known or i >= 1):
-            # a list, not a generator: every direction is evaluated
-            hit = any([2.0 * q_full(st, spec)[0] >= config.threshold for st in states])
-        if hit:
-            detections.append(i + 1)
-        stored[i] = sum(len(st.records) for st in states)
-        evaluated[i] = sum(st.counters.curves_evaluated_sum for st in states) - e0
-        merges[i] = sum(st.counters.merges for st in states) - m0
-        transcend[i] = sum(st.counters.transcendental_calls for st in states) - t0
-    return CounterProfile(
-        stored=stored,
-        evaluated=evaluated,
-        merges=merges,
-        transcendental=transcend,
-        detections=tuple(detections),
-        counters=tuple(st.counters for st in states),
-    )
+            for st in states:
+                q_full(st, spec)
+        for st in states:
+            totals += _TOTALS(st.counters)
+    totals = np.array(totals, dtype=np.int64).reshape(len(g_arr), len(states), 4).sum(axis=1)
+    return CounterProfile(*np.diff(totals, axis=0, prepend=0).T)
 
 
 # ------------------------------------------------------------------
@@ -571,10 +559,8 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
 def write_counter_csv(profile: CounterProfile, fh) -> None:
     w = csv.writer(fh)
     w.writerow(["t", "curves_stored", "curves_evaluated", "merges", "transcendental_calls"])
-    for i in range(len(profile.stored)):
-        w.writerow(
-            [i + 1, profile.stored[i], profile.evaluated[i], profile.merges[i], profile.transcendental[i]]
-        )
+    cols = (profile.stored, profile.evaluated, profile.merges, profile.transcendental)
+    w.writerows(zip(range(1, len(profile.stored) + 1), *(c.tolist() for c in cols)))
 
 
 def write_delay_csv(rows: list[DelayRow], fh) -> None:

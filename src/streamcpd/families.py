@@ -9,8 +9,9 @@ Conventions fixed here:
 * ``gauss_var`` is parametrized by the **variance** (not the standard
   deviation): a(theta) = -1/(2 theta), b(theta) = log(theta)/2, so the mean
   map mu(theta) = b'/a' is the identity and matches the x^2 statistic.
-  An observation of exactly zero is outside its support: it carries infinite
-  evidence for a smaller variance and would make a segment degenerate.
+  An observation whose square is 0 (x = 0, or |x| below about 1.5e-162) is
+  outside its support: it carries infinite evidence for a smaller variance
+  and would make a segment degenerate.  So is one whose square overflows.
 * ``gauss_mean`` uses b(theta) = theta^2 / 2, making f the exact unit-variance
   normal density.  Pruning and likelihood-ratio values are invariant under a
   joint rescaling of (a, b), so this choice is cosmetic.
@@ -170,11 +171,12 @@ def _gauss_mean(_) -> _Forms:
 
 def _gauss_var(_) -> _Forms:
     def suff(x):
-        if not math.isfinite(x):
-            raise SupportError(f"non-finite observation {x!r}")
-        if x == 0:
-            raise SupportError("gauss-var observation must be non-zero, got 0")
-        return x * x
+        y = x * x
+        if not 0.0 < y < _INF:  # NaN, infinities, 0, and squares that underflow or overflow
+            raise SupportError(f"non-finite observation {x!r}" if not math.isfinite(x)
+                               else "gauss-var observation must be non-zero, got 0" if x == 0
+                               else f"gauss-var observation {x!r} squares to {y!r}, outside (0, inf)")
+        return y
 
     def conjugate(gbar):
         if not gbar > 0:
@@ -197,7 +199,7 @@ def _gauss_var(_) -> _Forms:
         beta_fn=lambda t: 0.5 * math.log(t),
         mean_suff=lambda t: t,
         suff=suff,
-        suff_arr=lambda np, x: x * x if (np.isfinite(x) & (x != 0)).all() else None,
+        suff_arr=lambda np, x: y if 0.0 < (y := x * x).min(initial=1.0) and y.max(initial=1.0) < _INF else None,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: math.sqrt(t) * _special().ndtri(u),

@@ -65,18 +65,25 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
 def generate(scenario: Scenario) -> np.ndarray:
     """Deterministic stream for the scenario; same seed, same bits.
 
-    Raises ValueError naming a theta whose draws are not finite (inf or NaN).
+    Raises ValueError naming a theta whose draws are not finite (inf or NaN)
+    or outside the support (gamma draws that underflow to 0), and the shape.
     """
     rng = np.random.Generator(np.random.PCG64(scenario.seed))
     u = _open_uniforms(rng, scenario.length)
-    inv = scenario.spec.inverse_cdf
+    spec = scenario.spec
+    inv = spec.inverse_cdf
     cut = scenario.change_at
-    with np.errstate(over="ignore"):  # overflow is reported below, by theta
+    outside = lambda part: spec._forms.suff_arr(np, part) is None  # the family table's support test
+    # overflow, of a draw or of a gauss-var square, is reported below, by theta
+    with np.errstate(over="ignore"):
         if cut == 0:
             x = inv(scenario.theta_pre, u)
         else:
             x = np.concatenate([inv(scenario.theta_pre, u[:cut]), inv(scenario.theta_post, u[cut:])])
-    if not np.isfinite(x).all():
-        bad = scenario.theta_post if cut and np.isfinite(x[:cut]).all() else scenario.theta_pre
-        raise ValueError(f"theta={bad!r} gives non-finite {scenario.spec.kind.value} observations")
+        if outside(x):
+            bad, part = ((scenario.theta_post, x[cut:]) if cut and not outside(x[:cut])
+                         else (scenario.theta_pre, x[:cut or None]))
+            what = "out-of-support" if np.isfinite(part).all() else "non-finite"
+            raise ValueError(f"theta={bad!r} gives {what} {spec.kind.value} observations"
+                             + ("" if spec.shape is None else f" at shape {spec.shape!r}"))
     return x

@@ -50,6 +50,25 @@ LANE_FAMILIES = [
 LANE_IDS = ["gauss-mean", "gauss-var", "poisson", "binomial1", "binomial3", "gamma"]
 
 
+def overflow_streams(spec):
+    """Streams with values whose conjugates overflow, and the theta0 to run
+    them at: gauss-mean's g * g / 2 at 3e154 and beyond, whose statistics
+    are inf and, with theta0 unknown, inf - inf = NaN, with prefix sums that
+    a later value cancels; and Poisson's g log g at 1e308, where with theta0
+    unknown the vector pass prices pairs at NaN with a bound and redoes them
+    exactly."""
+    pre, post = (0.0, 1.0) if spec is GM else (2.0, 3.5)
+    base = generate(Scenario(spec, pre, post, 150, 300, seed=350))
+    values = (((1e200,), (-1e200,), (3e154,), (1e200, -1e200), (3e154, 5.0, -3e154)) if spec is GM
+              else ((1e308,),))
+    streams = []
+    for vals in values:
+        s = base.copy()
+        s[120:120 + len(vals)] = vals
+        streams.append(s)
+    return (pre, 5.0, None) if spec is GM else (pre, None), streams
+
+
 def test_run_length_censored_at_huge_threshold():
     cfg = DetectorConfig(GM, 0.0, 1e12, "both")
     assert run_length(cfg, Scenario(GM, 0.0, 0.0, 0, 200, seed=1)) is None
@@ -91,6 +110,16 @@ def test_running_max_equals_scalar_reference(family, monkeypatch):
                     monkeypatch.setattr(bench, "_BLOCK", block)
                     got = stat_running_max(cfg, s)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if spec in (GM, PO):
+        theta0s, streams = overflow_streams(spec)
+        for theta0 in theta0s:
+            for direction in ("up", "down", "both"):
+                cfg = DetectorConfig(spec, theta0, 1.0, direction)
+                for s in streams:
+                    want = scalar_running_max(cfg, s)
+                    for block in (_BLOCK, 7):
+                        monkeypatch.setattr(bench, "_BLOCK", block)
+                        assert stat_running_max(cfg, s).tobytes() == want.tobytes()
     if spec is PO:
         # acceptance test A8's setup: a long null stream with theta0 unknown,
         # where n A(g) is large and the conjugates' bounds are widest
@@ -382,6 +411,16 @@ def test_lanes_equal_scalar_first_detection(family, monkeypatch):
                     blocks = {(t - 1) // step for t in want if t is not None}
                     spread[block] |= len(blocks) > 1 and None in want
                 times += want + want_short
+    if spec in (GM, PO):
+        theta0s, big = overflow_streams(spec)
+        for theta0 in theta0s:
+            for direction in ("up", "down", "both"):
+                for thr in (1e-3, 10.0, 1e12):
+                    cfg = DetectorConfig(spec, theta0, thr, direction)
+                    want = [first_detection(cfg, s) for s in big]
+                    for block in (_BLOCK, 7):
+                        monkeypatch.setattr(bench, "_BLOCK", block)
+                        assert _first_detections(cfg, big) == want
     assert _first_detections(cfg, []) == []
     with pytest.raises(ValueError, match="one length"):
         _first_detections(cfg, [streams[0], streams[1][:-1]])
@@ -434,6 +473,13 @@ def test_counter_csv_format():
     assert lines[0] == "t,curves_stored,curves_evaluated,merges,transcendental_calls"
     assert len(lines) == 6
     assert lines[1].split(",")[0] == "1"
+    # an empty stream: four empty int64 columns and the header alone
+    empty = counter_profile(DetectorConfig(GM, None, 30.0, "both"), Scenario(GM, 0.0, 0.0, 0, 0, seed=2))
+    cols = (empty.stored, empty.evaluated, empty.merges, empty.transcendental)
+    assert all(c.dtype == np.int64 and c.shape == (0,) for c in cols)
+    buf = io.StringIO()
+    write_counter_csv(empty, buf)
+    assert buf.getvalue().splitlines() == [lines[0]]
 
 
 def test_delay_csv_format():

@@ -120,6 +120,9 @@ def test_detect_support_violation_exits_2(tmp_path, capsys):
     (["--family", "gauss-var", "--theta0", "unknown", "--direction", "both"], "1e10\n1e-10\n"),
     (["--family", "poisson", "--theta0", "1"], "1\ninf\n"),
     (["--family", "binomial", "--trials", "2", "--theta0", "0.5"], "1\nnan\n"),
+    # squares that underflow to 0 or overflow to inf are outside the gauss-var support
+    (["--family", "gauss-var", "--theta0", "1", "--direction", "both"], "1\n1e-200\n"),
+    (["--family", "gauss-var", "--theta0", "1", "--direction", "both"], "1\n1e200\n"),
 ])
 def test_detect_rejected_value_exits_2(tmp_path, capsys, flags, text):
     p = tmp_path / "in.txt"
@@ -408,6 +411,17 @@ def test_simulate_non_finite_stream_is_a_usage_error(tmp_path, capsys, argv):
         main([*argv, "--length", "3", "--seed", "1", "--output", str(out_path)])
     assert exc.value.code == 2
     assert f"theta={float(argv[-1])!r} gives non-finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_simulate_gamma_draws_that_underflow_are_a_usage_error(tmp_path, capsys):
+    # about half the draws at shape 0.001 lie below the smallest double
+    out_path = tmp_path / "s.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--family", "gamma", "--shape", "0.001", "--theta-pre", "1",
+              "--length", "3", "--seed", "1", "--output", str(out_path)])
+    assert exc.value.code == 2
+    assert "theta=1.0 gives out-of-support gamma observations at shape 0.001" in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -203,18 +203,20 @@ def test_step_result_counters():
 
 
 def test_rejected_value_leaves_state_unchanged():
-    d = Detector(DetectorConfig(FamilySpec.gauss_var(), 1.0, 20.0, "both"))
-    for x in (0.5, 2.0, -1.5):
-        d.step(x)
+    # 0, and values whose squares underflow to 0 or overflow to inf
+    for bad in (0.0, 1e-200, 1e200):
+        d = Detector(DetectorConfig(FamilySpec.gauss_var(), 1.0, 20.0, "both"))
+        for x in (0.5, 2.0, -1.5):
+            d.step(x)
 
-    def snapshot():
-        return d.t, [(replace(st.counters), [(r.tau, r.cum_sum, r.m_bound) for r in st.records])
-                     for st in d.states]
+        def snapshot():
+            return d.t, [(replace(st.counters), [(r.tau, r.cum_sum, r.m_bound) for r in st.records])
+                         for st in d.states]
 
-    before = snapshot()
-    with pytest.raises(SupportError):
-        d.step(0.0)
-    assert snapshot() == before
+        before = snapshot()
+        with pytest.raises(SupportError):
+            d.step(bad)
+        assert snapshot() == before
 
 
 @pytest.mark.parametrize("spec, theta0", [

@@ -334,7 +334,7 @@ def test_suff_arr_matches_scalar():
 # values outside it besides the non-finite ones
 _SUFF_CASES = {
     "gauss-mean": (GM, lambda rng, n: rng.normal(0.0, 1e3, n), True, []),
-    "gauss-var": (GV, lambda rng, n: rng.normal(0.0, 1e3, n), False, [0.0, -0.0]),
+    "gauss-var": (GV, lambda rng, n: rng.normal(0.0, 1e3, n), False, [0.0, -0.0, 1e-200, 1e200]),
     "poisson": (PO, lambda rng, n: rng.poisson(3.0, n).astype(float), True, [-1.0, 2.5, -0.5]),
     "binomial": (BI4, lambda rng, n: rng.binomial(4, 0.5, n).astype(float), True, [-1.0, 2.5, 5.0]),
     "gamma": (GA, lambda rng, n: rng.gamma(2.0, 1.0, n), False, [0.0, -0.0, -1.0]),

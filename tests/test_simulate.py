@@ -107,6 +107,14 @@ def test_non_finite_stream_names_theta(spec, theta_pre, theta_post, change_at, b
         generate(Scenario(spec, theta_pre, theta_post, change_at, 3, seed=1))
 
 
+def test_gamma_draws_that_underflow_name_theta_and_shape():
+    # about half the draws at shape 0.001 lie below the smallest double and
+    # round to 0, outside the gamma support; no draw is clamped
+    spec = FamilySpec.gamma(0.001)
+    with pytest.raises(ValueError, match="^theta=1.0 gives out-of-support gamma observations at shape 0.001$"):
+        generate(Scenario(spec, 1.0, 1.0, 0, 3, seed=1))
+
+
 # ------------------------------------------------------------------
 # the Poisson and binomial quantile: an exact search on scipy.special's CDFs,
 # checked against scipy.stats, which the library itself never imports
