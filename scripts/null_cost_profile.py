@@ -25,6 +25,7 @@ from streamcpd import (
     step_states,
     update,
 )
+from streamcpd.counters import CounterSet
 
 
 def main() -> int:
@@ -53,17 +54,22 @@ def main() -> int:
         "eval_mean", "trans_mean",
         "eval_adaptive", "trans_adaptive",
     ])
+    root_logs = CounterSet()  # the root solves' log calls, added to st_root's
+
     # each step's counts are the running totals less the previous step's
-    snap = lambda: [(st.counters.curves_evaluated_sum, st.counters.transcendental_calls)
-                    for st in (st_root, st_mean, st_adap)]
-    before = snap()
+    def snap():
+        counts = [st.counters for st in (st_root, st_mean, st_adap)]
+        counts[0].transcendental_calls += root_logs.transcendental_calls
+        return counts
+
+    before = [(c.curves_evaluated_sum, c.transcendental_calls) for c in snap()]
     for i, g in enumerate(g_list):
-        update_root_pruning(st_root, g, fam, args.theta, args.root_tol)
+        update_root_pruning(st_root, g, fam, args.theta, args.root_tol, root_logs)
         q_full(st_root, fam)
         update(st_mean, g)
         q_full(st_mean, fam)
         step_states([st_adap], fam, g, args.threshold)
-        after = snap()
+        after = [(c.curves_evaluated_sum, c.transcendental_calls) for c in snap()]
         row = [i + 1]
         for b, a in zip(before, after):
             row.extend([a[0] - b[0], a[1] - b[1]])
@@ -73,8 +79,7 @@ def main() -> int:
         fout.close()
 
     n = args.length
-    for name, st in [("root+full", st_root), ("mean+full", st_mean), ("mean+adaptive", st_adap)]:
-        c = st.counters
+    for name, c in zip(("root+full", "mean+full", "mean+adaptive"), snap()):
         print(
             f"{name:14s} evaluated/step={c.curves_evaluated_sum / n:.3f} "
             f"transcendental/step={c.transcendental_calls / n:.3f} "

@@ -148,19 +148,26 @@ def _curve_root(
 
 
 def update_root_pruning(
-    state: PruneState, g: float, spec: FamilySpec, theta0: float, tolerance: float
+    state: PruneState,
+    g: float,
+    spec: FamilySpec,
+    theta0: float,
+    tolerance: float,
+    root_counters: CounterSet | None = None,
 ) -> PruneState:
     """Update variant that orders curves by numerically-found roots.
 
     Retains exactly the same candidate sets as `update`; known pre-change
     parameter only.  A state must be driven by one update flavour
-    exclusively.
+    exclusively.  The state tallies its stored curves (so its `counters`
+    count merges and stored curves as `update`'s do); the root solves' log
+    calls go to ``root_counters``'s ``transcendental_calls``, when given.
     """
     if state.theta0 is None:
         raise ValueError("root pruning requires a known pre-change parameter")
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    c = state.counters
+    c = CounterSet() if root_counters is None else root_counters
     recs = state.records
     recs.append(RootRecord(state.total_count, state.total_sum))
     state.total_count += 1
@@ -178,7 +185,6 @@ def update_root_pruning(
         if (suf_root - prev.root) * sign > 0:
             break
         recs.pop()
-        c.merges += 1
         last = recs[-1]
         suf_root = _curve_root(
             spec, theta0, a0, b0, g0, St - last.cum_sum, T - last.tau, sign, tolerance, c
@@ -186,11 +192,10 @@ def update_root_pruning(
 
     if len(recs) == 1 and (suf_root - theta0) * sign <= 0:
         recs.pop()
-        c.merges += 1
         state.base_count = T
         state.base_sum = St
     elif recs:
         recs[-1].root = suf_root
 
-    c.curves_stored_sum += len(recs)
+    state.stored_sum += len(recs)
     return state

@@ -219,6 +219,7 @@ def _exact(states, spec, k, row, tau, cs, T, St) -> np.ndarray:
         row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing conjugates: inf or NaN, as in the scalar form
 def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     """Running maximum of the doubled statistic after each step.
 
@@ -395,6 +396,7 @@ class DelayRow:
     delay: int | None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing conjugates: inf or NaN, as in the scalar form
 def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list[int | None]:
     """`first_detection` of every stream, by `stat_running_max`'s two passes
     run on all streams together.
@@ -519,7 +521,7 @@ class CounterProfile:
     transcendental: np.ndarray
 
 
-_TOTALS = attrgetter("curves_stored_sum", "curves_evaluated_sum", "merges", "transcendental_calls")
+_TALLIES = attrgetter("stored_sum", "evaluated", "bounded", "pooled")
 
 
 def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "adaptive") -> CounterProfile:
@@ -529,8 +531,8 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
     `pruning.q_full` on every direction after each step instead (from the
     second step on with theta0 unknown), whose evaluations the columns
     count.  Detections never stop the run.  Each step appends the
-    directions' running counter totals, and one difference after the last
-    step turns them into per-step counts.
+    directions' running tallies, and after the last step one difference
+    turns them into per-step counts, derived as in `PruneState.counters`.
     """
     if mode not in ("adaptive", "full"):
         raise ValueError("mode must be 'adaptive' or 'full'")
@@ -546,9 +548,12 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
             for st in states:
                 q_full(st, spec)
         for st in states:
-            totals += _TOTALS(st.counters)
+            totals += _TALLIES(st)
     totals = np.array(totals, dtype=np.int64).reshape(len(g_arr), len(states), 4).sum(axis=1)
-    return CounterProfile(*np.diff(totals, axis=0, prepend=0).T)
+    stored, evaluated, bounded, pooled = np.diff(totals, axis=0, prepend=0).T
+    logs = bounded + evaluated if known else 3 * bounded + 2 * evaluated + pooled
+    merges = len(states) - np.diff(stored, prepend=0)  # a step adds one candidate per direction
+    return CounterProfile(stored, evaluated, merges, spec.transcendental_cost * logs)
 
 
 # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Machine-independent instrumentation counters.
 
 Flops are never counted literally; merges, curve evaluations, and
-transcendental (log) calls are the portable cost proxies.  One CounterSet
-belongs to one pruned state and is only ever touched by its owner.
+transcendental (log) calls are the portable cost proxies.  A pruned state
+tallies its counts as it steps, and `PruneState.counters` derives a fresh
+CounterSet from the tallies on every read: mutating one changes nothing.
 """
 
 from __future__ import annotations

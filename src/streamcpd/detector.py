@@ -50,18 +50,20 @@ class Detection(NamedTuple):
 
 def step_states(
     states: list[PruneState], spec: FamilySpec, g: float, threshold: float | None
-) -> tuple[Detection | None, int]:
+) -> tuple[Detection | None, int, int]:
     """Absorb one sufficient statistic into every direction state, which
     must all have seen the same observations: `pruning._absorb` (`update`
     and `attach_bounds`) on each, then `maxima._walk` (`check`'s walk) on
     each if ``threshold`` is given and the statistic defined.  A threshold
     that is not positive raises ValueError first.  Returns the strongest
-    detection (None without one) and the curves the walks evaluated.
+    detection (None without one), the curves the walks evaluated and the
+    curves stored after the step.
     """
     if threshold is not None and not threshold > 0:
         raise ValueError("threshold must be positive")
+    stored = 0
     for st in states:
-        _absorb(st, g, spec)
+        stored += _absorb(st, g, spec)
     detection = None
     evals = 0
     # with the pre-change parameter unknown the statistic needs at least
@@ -72,7 +74,7 @@ def step_states(
             evals += n
             if tau is not None and (detection is None or stat > detection.stat):
                 detection = Detection(st.total_count, tau, stat, st.direction)
-    return detection, evals
+    return detection, evals, stored
 
 
 class StepResult(NamedTuple):
@@ -113,14 +115,12 @@ class Detector:
         except SupportError as e:
             raise SupportError(f"stream position {self._t + 1}: {e}") from e
         self._t = t = self._t + 1
-        detection, evals = step_states(self.states, self._spec, g, self._threshold)
+        detection, evals, stored = step_states(self.states, self._spec, g, self._threshold)
         stat = None
         if self._stat_every and t % self._stat_every == 0 and self._stat_defined():
             stat = self.statistic()
-        stored = 0
-        for st in self.states:
-            stored += len(st.records)
-        return StepResult(t, detection, stat, stored, evals)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(StepResult, (t, detection, stat, stored, evals))
 
     def _stat_defined(self) -> bool:
         return self._t >= self._need

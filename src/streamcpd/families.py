@@ -193,13 +193,18 @@ def _gauss_var(_) -> _Forms:
         # -0.5 * y is exact
         return -0.5 * y, (np.abs(lg) + np.abs(y) + _TINY) * e
 
+    def suff_arr(np, x):
+        with np.errstate(over="ignore"):  # a square that overflows fails the test below
+            y = x * x
+        return y if 0.0 < y.min(initial=1.0) and y.max(initial=1.0) < _INF else None
+
     return _Forms(
         (0.0, _INF), 1, False,
         alpha=lambda t: -1.0 / (2.0 * t),
         beta_fn=lambda t: 0.5 * math.log(t),
         mean_suff=lambda t: t,
         suff=suff,
-        suff_arr=lambda np, x: y if 0.0 < (y := x * x).min(initial=1.0) and y.max(initial=1.0) < _INF else None,
+        suff_arr=suff_arr,
         conjugate=conjugate,
         conjugate_arr=conjugate_arr,
         inverse_cdf=lambda t, u: math.sqrt(t) * _special().ndtri(u),

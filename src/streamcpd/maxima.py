@@ -51,11 +51,8 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
         last.m_bound = 0.0
         return
     prev = recs[-2]
-    m = curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum)
-    state.counters.transcendental_calls += spec.transcendental_cost * (
-        1 if state.theta0 is not None else 3
-    )
-    last.m_bound = prev.m_bound + m
+    last.m_bound = prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum)
+    state.bounded += 1
 
 
 def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome:
@@ -73,8 +70,7 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
     below it; twice the suffix stat reaching it is a detection on [tau, now].
     """
     T, St = state.total_count, state.total_sum
-    known = state.theta0 is not None
-    pooled = None if known or not state.records else T * spec.conjugate(St / T)
+    pooled = None if state.theta0 is not None or not state.records else T * spec.conjugate(St / T)
     hit_tau = hit_stat = None
     evals, bound2 = 0, 0.0
     for r in reversed(state.records):
@@ -86,9 +82,7 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
         if 2.0 * m >= threshold:
             hit_tau, hit_stat = r.tau, 2.0 * m
             break
-    c = state.counters
-    c.curves_evaluated_sum += evals
-    c.transcendental_calls += evals * spec.transcendental_cost * (1 if known else 2)
+    state.evaluated += evals
     if pooled is not None:
-        c.transcendental_calls += spec.transcendental_cost
+        state.pooled += 1
     return hit_tau, hit_stat, evals, bound2

@@ -55,17 +55,32 @@ class PruneState:
     total_sum: float = 0.0
     base_count: int = 0
     base_sum: float = 0.0
-    counters: CounterSet = field(default_factory=CounterSet)
+    # step tallies, from which `counters` derives the cost counters
+    stored_sum: int = 0
+    bounded: int = 0
+    evaluated: int = 0
+    pooled: int = 0
     # caches, fixed at construction
     sign: int = 1
+    cost: int = 1  # the family's transcendental_cost
     alpha0: float = _NAN
     beta0: float = _NAN
     g0: float = _NAN
 
+    @property
+    def counters(self) -> CounterSet:
+        """A fresh snapshot of the cost counters, derived from the tallies:
+        a step adds one candidate and a merge or the barrier removes one; a
+        prefix bound costs 1 log evaluation (3 with theta0 unknown), a curve
+        1 (2), a pooled term 1, each times the family's cost."""
+        b, e = self.bounded, self.evaluated
+        logs = b + e if self.theta0 is not None else 3 * b + 2 * e + self.pooled
+        return CounterSet(self.total_count - len(self.records), self.stored_sum, e, self.cost * logs)
+
 
 def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> PruneState:
     """Empty state; the represented statistic is identically zero."""
-    state = PruneState(direction=direction, theta0=theta0, sign=direction.sign)
+    state = PruneState(direction, theta0, sign=direction.sign, cost=spec.transcendental_cost)
     if theta0 is not None:
         if not spec.in_domain(theta0):
             lo, hi = spec.param_domain
@@ -84,12 +99,12 @@ def update(state: PruneState, g: float) -> PruneState:
     return state
 
 
-def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> None:
+def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> int:
     """Append the newest candidate, run the tail merge cascade, then the null
-    barrier when theta0 is known; amortized O(1).  The newest is held as
-    (lt, lc) and stored only if it survives; given ``spec``, it gets its
-    prefix bound as from `maxima.attach_bounds`.  `bench._pop_steps` mirrors
-    the cascade and the barrier expression for expression: change both.
+    barrier when theta0 is known; amortized O(1); returns the curves stored.
+    The newest is held as (lt, lc) and stored only if it survives; given
+    ``spec``, it gets its prefix bound as from `maxima.attach_bounds`.
+    `bench._pop_steps` mirrors cascade and barrier expression for expression: change both.
     """
     recs = state.records
     lt, lc = state.total_count, state.total_sum
@@ -103,23 +118,19 @@ def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> None:
             break
         n -= 1
         lt, lc = prev.tau, prev.cum_sum
-    c = state.counters
-    merges = len(recs) - n  # recs[n] is (lt, lc) if the new candidate merged
     if state.theta0 is not None and not n and ((St - lc) / (T - lt) - state.g0) * sign <= 0:
-        c.merges += merges + 1
         recs.clear()
         state.base_count, state.base_sum = T, St
-        return
-    c.merges += merges
-    c.curves_stored_sum += n + 1
-    if merges:
+        return 0
+    state.stored_sum += n + 1
+    if n < len(recs):  # merged: recs[n] is (lt, lc)
         del recs[n + 1:]
-        return
-    recs.append(CurveRecord(lt, lc))
-    if spec is not None and n:  # prev is recs[n - 1], where the cascade stopped
-        m = curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc)
-        c.transcendental_calls += spec.transcendental_cost * (1 if state.theta0 is not None else 3)
-        recs[n].m_bound = prev.m_bound + m
+    elif spec is not None and n:  # prev is recs[n - 1], where the cascade stopped
+        recs.append(CurveRecord(lt, lc, prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc)))
+        state.bounded += 1
+    else:
+        recs.append(CurveRecord(lt, lc))
+    return n + 1
 
 
 def curve_m(
@@ -168,7 +179,6 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
     recs = state.records
     if not recs:
         return 0.0, None
-    c = state.counters
     T = state.total_count
     St = state.total_sum
     pooled = None if state.theta0 is not None else T * spec.conjugate(St / T)
@@ -179,7 +189,7 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
         if m > best:
             best = m
             best_tau = r.tau
-    calls = len(recs) if pooled is None else 2 * len(recs) + 1  # + 1: the pooled term
-    c.transcendental_calls += calls * spec.transcendental_cost
-    c.curves_evaluated_sum += len(recs)
+    state.evaluated += len(recs)
+    if pooled is not None:
+        state.pooled += 1
     return best, best_tau

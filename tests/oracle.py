@@ -195,7 +195,8 @@ def scalar_running_max(config: DetectorConfig, data) -> np.ndarray:
 def layered_step_states(states, spec: FamilySpec, g: float, threshold: float | None):
     """`detector.step_states` through the public layers: `update` and
     `attach_bounds` on every state, then `check` on every state when
-    ``threshold`` is given and the statistic is defined."""
+    ``threshold`` is given and the statistic is defined.  The curves stored
+    are counted from the records."""
     for st in states:
         update(st, g)
         attach_bounds(st, spec)
@@ -208,4 +209,4 @@ def layered_step_states(states, spec: FamilySpec, g: float, threshold: float | N
             evals += out.curves_evaluated
             if out.changed and (detection is None or out.stat > detection.stat):
                 detection = Detection(st.total_count, out.tau_low, out.stat, st.direction)
-    return detection, evals
+    return detection, evals, sum(len(st.records) for st in states)

@@ -91,6 +91,7 @@ def test_first_detection_matches_running_max_crossing():
         assert first_detection(cfg, data) == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow streams warn nothing
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
 def test_running_max_equals_scalar_reference(family, monkeypatch):
     spec, pre, post = LANE_FAMILIES[family]
@@ -382,6 +383,7 @@ def test_delay_experiment_rejects_reps_below_one():
         delay_experiment([run], 50.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow streams warn nothing
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
 def test_lanes_equal_scalar_first_detection(family, monkeypatch):
     spec, pre, post = LANE_FAMILIES[family]

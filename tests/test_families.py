@@ -345,6 +345,7 @@ def _scalar_suff(spec, x):
     return np.array([spec.suff(v) for v in x.tolist()], dtype=float)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # gauss-var squares that overflow warn nothing
 @pytest.mark.parametrize("name", _SUFF_CASES)
 def test_suff_arr_vector_test_is_the_scalar_loop(name):
     spec, draw, signed_zero, bad = _SUFF_CASES[name]

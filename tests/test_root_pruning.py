@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from streamcpd import Direction, FamilySpec, new_state, update
+from streamcpd.counters import CounterSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from root_pruning import alpha_prime, beta_prime, update_root_pruning  # noqa: E402
@@ -73,12 +74,17 @@ def test_root_pruning_counts_transcendentals():
     data = rng.poisson(1.0, 300).astype(float)
     st_mean = new_state(Direction.UP, 1.0, PO)
     st_root = new_state(Direction.UP, 1.0, PO)
+    root_logs = CounterSet()
+    stored = 0
     for x in data:
         update(st_mean, PO.suff(x))
-        update_root_pruning(st_root, PO.suff(x), PO, 1.0, 1e-11)
+        update_root_pruning(st_root, PO.suff(x), PO, 1.0, 1e-11, root_logs)
+        stored += len(st_root.records)
     assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
     assert st_mean.counters.transcendental_calls == 0  # mean pruning never takes logs
-    assert st_root.counters.transcendental_calls > 2 * st_root.total_count
+    assert root_logs.transcendental_calls > 2 * st_root.total_count
+    # the root solves' logs are counted apart; the state counts what it stores
+    assert st_root.counters == CounterSet(300 - len(st_root.records), stored, 0, 0)
 
 
 def test_root_pruning_requires_known_theta0():

@@ -3,13 +3,13 @@
 `detector.step_states` runs `pruning._absorb` and `maxima._walk`;
 `oracle.layered_step_states` runs the public `update`, `attach_bounds` and
 `check` they replace.  Both are driven on twin states, and after every step
-the detection, the curves evaluated and the whole state must be equal bit
-for bit: every record's (tau, cum_sum, m_bound), the totals, the base and
-the four counters.
+the detection, the curves evaluated and stored and the whole state must be
+equal bit for bit: every record's (tau, cum_sum, m_bound), the totals, the
+base and the four tallies the counters derive from.  Both paths share that
+derivation; `tests/test_counters.py` checks the counts from outside.
 """
 
 import struct
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -43,16 +43,17 @@ def bits(x) -> bytes:
 
 def snapshot(states):
     return [
-        (s.total_count, bits(s.total_sum), s.base_count, bits(s.base_sum), astuple(s.counters),
+        (s.total_count, bits(s.total_sum), s.base_count, bits(s.base_sum),
+         (s.stored_sum, s.bounded, s.evaluated, s.pooled),
          [(r.tau, bits(r.cum_sum), bits(r.m_bound)) for r in s.records])
         for s in states
     ]
 
 
-def outcome(detection, evals):
+def outcome(detection, evals, stored):
     if detection is None:
-        return None, evals
-    return (detection.t_detect, detection.tau_low, bits(detection.stat), detection.direction_hit), evals
+        return None, evals, stored
+    return (detection.t_detect, detection.tau_low, bits(detection.stat), detection.direction_hit), evals, stored
 
 
 def run_both(spec, theta0, direction, threshold, data):
