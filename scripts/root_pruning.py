@@ -1,9 +1,11 @@
 """Root-comparison pruning: the cost baseline for mean-comparison pruning.
 
 Orders candidate curves by numerically found roots (safeguarded Newton with
-a bisection fallback) instead of comparing segment means.  It retains exactly
-the candidate sets of `streamcpd.update` (tested in
-tests/test_root_pruning.py) and exists only to measure what the mean
+a bisection fallback) instead of comparing segment means.  Its candidate
+sets match those of `streamcpd.update` (tested in
+tests/test_root_pruning.py) except where two segment means tie, as they do
+on integer data: the root comparison breaks such ties differently, so the
+sets can differ for some steps.  It exists only to measure what the mean
 comparison saves; `null_cost_profile.py` drives it.
 
 Import it with ``scripts/`` on ``sys.path``.
@@ -157,8 +159,9 @@ def update_root_pruning(
 ) -> PruneState:
     """Update variant that orders curves by numerically-found roots.
 
-    Retains exactly the same candidate sets as `update`; known pre-change
-    parameter only.  A state must be driven by one update flavour
+    Retains the candidate sets of `update`, except where two segment means
+    tie (integer data), which the root comparison breaks differently; known
+    pre-change parameter only.  A state must be driven by one update flavour
     exclusively.  The state tallies its stored curves (so its `counters`
     count merges and stored curves as `update`'s do); the root solves' log
     calls go to ``root_counters``'s ``transcendental_calls``, when given.
@@ -192,8 +195,6 @@ def update_root_pruning(
 
     if len(recs) == 1 and (suf_root - theta0) * sign <= 0:
         recs.pop()
-        state.base_count = T
-        state.base_sum = St
     elif recs:
         recs[-1].root = suf_root
 

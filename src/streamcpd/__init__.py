@@ -16,7 +16,6 @@ _EXPORTS = {
     "calibrate_threshold": "bench",
     "counter_profile": "bench",
     "delay_experiment": "bench",
-    "first_detection": "bench",
     "mean_delay": "bench",
     "Detection": "detector",
     "Detector": "detector",

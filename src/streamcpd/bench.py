@@ -15,6 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .counters import CounterSet, derive
 from .detector import Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from . import families
@@ -38,11 +39,6 @@ def first_detection(config: DetectorConfig, data: np.ndarray) -> int | None:
         if step_states(states, spec, gi, config.threshold)[0] is not None:
             return i + 1
     return None
-
-
-def run_length(config: DetectorConfig, scenario: Scenario) -> int | None:
-    """Null run length: first detection time or None when censored at length."""
-    return first_detection(config, generate(scenario))
 
 
 # (row, step) pairs per block of the Monte Carlo kernels' vector pass: their
@@ -510,29 +506,21 @@ def mean_delay(rows: list[DelayRow], label: str, censor_value: int | None = None
 # ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterProfile:
-    """`counter_profile`'s int64 columns, summed over the directions: per
-    step, curves stored after it and curves evaluated, merges and log calls in it."""
-
-    stored: np.ndarray
-    evaluated: np.ndarray
-    merges: np.ndarray
-    transcendental: np.ndarray
-
-
 _TALLIES = attrgetter("stored_sum", "evaluated", "bounded", "pooled")
 
 
-def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "adaptive") -> CounterProfile:
-    """Per-step stored/evaluated/merge/log counters over one stream.
+def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "adaptive") -> CounterSet:
+    """Per-step counters over one stream: a CounterSet of int64 columns,
+    summed over the directions, each entry what its step added, so
+    ``curves_stored_sum`` holds the curves stored after the step.
 
     ``mode="adaptive"`` uses the maxima check; ``mode="full"`` runs
     `pruning.q_full` on every direction after each step instead (from the
     second step on with theta0 unknown), whose evaluations the columns
     count.  Detections never stop the run.  Each step appends the
-    directions' running tallies, and after the last step one difference
-    turns them into per-step counts, derived as in `PruneState.counters`.
+    directions' running tallies; after the last step `counters.derive`
+    turns their columns into running counters, and one difference into
+    per-step counts.
     """
     if mode not in ("adaptive", "full"):
         raise ValueError("mode must be 'adaptive' or 'full'")
@@ -549,11 +537,12 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
                 q_full(st, spec)
         for st in states:
             totals += _TALLIES(st)
-    totals = np.array(totals, dtype=np.int64).reshape(len(g_arr), len(states), 4).sum(axis=1)
-    stored, evaluated, bounded, pooled = np.diff(totals, axis=0, prepend=0).T
-    logs = bounded + evaluated if known else 3 * bounded + 2 * evaluated + pooled
-    merges = len(states) - np.diff(stored, prepend=0)  # a step adds one candidate per direction
-    return CounterProfile(stored, evaluated, merges, spec.transcendental_cost * logs)
+    stored_sum, evaluated, bounded, pooled = np.array(totals, dtype=np.int64).reshape(
+        len(g_arr), len(states), 4).sum(axis=1).T
+    added = len(states) * np.arange(1, len(g_arr) + 1, dtype=np.int64)  # one candidate per direction
+    stored = np.diff(stored_sum, prepend=0)
+    running = derive(added, stored, stored_sum, bounded, evaluated, pooled, known, spec.transcendental_cost)
+    return CounterSet(**{k: np.diff(v, prepend=0) for k, v in vars(running).items()})
 
 
 # ------------------------------------------------------------------
@@ -561,11 +550,12 @@ def counter_profile(config: DetectorConfig, scenario: Scenario, mode: str = "ada
 # ------------------------------------------------------------------
 
 
-def write_counter_csv(profile: CounterProfile, fh) -> None:
+def write_counter_csv(profile: CounterSet, fh) -> None:
     w = csv.writer(fh)
     w.writerow(["t", "curves_stored", "curves_evaluated", "merges", "transcendental_calls"])
-    cols = (profile.stored, profile.evaluated, profile.merges, profile.transcendental)
-    w.writerows(zip(range(1, len(profile.stored) + 1), *(c.tolist() for c in cols)))
+    cols = (profile.curves_stored_sum, profile.curves_evaluated_sum,
+            profile.merges, profile.transcendental_calls)
+    w.writerows(zip(range(1, len(profile.merges) + 1), *(c.tolist() for c in cols)))
 
 
 def write_delay_csv(rows: list[DelayRow], fh) -> None:

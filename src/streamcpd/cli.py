@@ -81,7 +81,7 @@ def _build_config(args, parser: argparse.ArgumentParser, stop_on_detect: bool = 
             stat_every=getattr(args, "stat_every", 0),
             stop_on_detect=stop_on_detect,
         )
-    except (ValueError, StreamCpdError) as e:
+    except ValueError as e:
         parser.error(str(e))
 
 
@@ -225,7 +225,7 @@ def run_calibrate(args, parser: argparse.ArgumentParser) -> int:
     except CalibrationError as e:
         print(f"error: {e} (bracket: lo={e.lo}, hi={e.hi})", file=sys.stderr)
         return 4
-    except (ValueError, StreamCpdError) as e:
+    except ValueError as e:
         parser.error(str(e))
     return _write_output(args.output, lambda fout: print(_calibration_json(res), file=fout))
 
@@ -249,7 +249,7 @@ def _build_scenario(args, parser: argparse.ArgumentParser):
             length=args.length,
             seed=args.seed,
         )
-    except (ValueError, StreamCpdError) as e:
+    except ValueError as e:
         parser.error(str(e))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counters import CounterSet
+from .counters import CounterSet, derive
 from .errors import ParamDomainError
 from .families import Direction, FamilySpec
 
@@ -53,8 +53,6 @@ class PruneState:
     records: list[CurveRecord] = field(default_factory=list)
     total_count: int = 0
     total_sum: float = 0.0
-    base_count: int = 0
-    base_sum: float = 0.0
     # step tallies, from which `counters` derives the cost counters
     stored_sum: int = 0
     bounded: int = 0
@@ -69,13 +67,10 @@ class PruneState:
 
     @property
     def counters(self) -> CounterSet:
-        """A fresh snapshot of the cost counters, derived from the tallies:
-        a step adds one candidate and a merge or the barrier removes one; a
-        prefix bound costs 1 log evaluation (3 with theta0 unknown), a curve
-        1 (2), a pooled term 1, each times the family's cost."""
-        b, e = self.bounded, self.evaluated
-        logs = b + e if self.theta0 is not None else 3 * b + 2 * e + self.pooled
-        return CounterSet(self.total_count - len(self.records), self.stored_sum, e, self.cost * logs)
+        """A fresh snapshot of the cost counters, derived from the tallies
+        by `counters.derive`: a step adds one candidate."""
+        return derive(self.total_count, len(self.records), self.stored_sum, self.bounded,
+                      self.evaluated, self.pooled, self.theta0 is not None, self.cost)
 
 
 def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> PruneState:
@@ -120,7 +115,6 @@ def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> int:
         lt, lc = prev.tau, prev.cum_sum
     if state.theta0 is not None and not n and ((St - lc) / (T - lt) - state.g0) * sign <= 0:
         recs.clear()
-        state.base_count, state.base_sum = T, St
         return 0
     state.stored_sum += n + 1
     if n < len(recs):  # merged: recs[n] is (lt, lc)

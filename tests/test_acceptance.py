@@ -26,7 +26,7 @@ from streamcpd import (
     q_full,
     update,
 )
-from streamcpd.bench import run_length
+from streamcpd.bench import first_detection
 from streamcpd.maxima import attach_bounds, check
 from streamcpd.pruning import curve_m
 
@@ -225,16 +225,16 @@ def test_a6_adaptive_check_efficiency():
     eval_means = []
     for sd in range(20):
         prof = counter_profile(cfg, Scenario(fam, 0.5, 0.5, 0, 100_000, 7000 + sd))
-        stored_means.append(float(prof.stored.mean()))
-        eval_means.append(float(prof.evaluated.mean()))
+        stored_means.append(float(prof.curves_stored_sum.mean()))
+        eval_means.append(float(prof.curves_evaluated_sum.mean()))
     stored = float(np.mean(stored_means))
     evals = float(np.mean(eval_means))
     # the adaptive check must also never evaluate more than full maximisation
     scen = Scenario(fam, 0.5, 0.5, 0, 10_000, 8999)
     adaptive = counter_profile(cfg, scen, mode="adaptive")
     full = counter_profile(cfg, scen, mode="full")
-    dominated = bool(np.all(adaptive.evaluated <= full.evaluated))
-    strictly_fewer = int(adaptive.evaluated.sum()) < int(full.evaluated.sum())
+    dominated = bool(np.all(adaptive.curves_evaluated_sum <= full.curves_evaluated_sum))
+    strictly_fewer = int(adaptive.curves_evaluated_sum.sum()) < int(full.curves_evaluated_sum.sum())
     ok = evals <= 1.5 and 6.0 <= stored <= 18.0 and dominated and strictly_fewer
     report("A6", ok,
            f"Bernoulli(0.5) null, T=100000, 20 seeds: mean evaluated/step {evals:.3f} (<= 1.5), "
@@ -297,7 +297,7 @@ def test_a8_arl_calibration_independent_estimate():
         reps = 150
         for r in range(reps):
             scen = Scenario(cfg.spec, theta_sim, theta_sim, 0, 3 * target, (ver_seed << 20) + r)
-            rl = run_length(cfg_run, scen)
+            rl = first_detection(cfg_run, generate(scen))
             total += rl if rl is not None else 3 * target
         est = total / reps
         inside = 0.8 * target <= est <= 1.2 * target

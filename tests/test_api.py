@@ -31,7 +31,6 @@ PUBLIC = [
     "check",
     "counter_profile",
     "delay_experiment",
-    "first_detection",
     "generate",
     "mean_delay",
     "new_state",

@@ -18,7 +18,6 @@ from streamcpd import (
     calibrate_threshold,
     counter_profile,
     delay_experiment,
-    first_detection,
     generate,
     mean_delay,
     update,
@@ -26,7 +25,7 @@ from streamcpd import (
 from streamcpd.bench import (
     _BLOCK,
     _first_detections,
-    run_length,
+    first_detection,
     stat_running_max,
     write_counter_csv,
     write_delay_csv,
@@ -71,12 +70,12 @@ def overflow_streams(spec):
 
 def test_run_length_censored_at_huge_threshold():
     cfg = DetectorConfig(GM, 0.0, 1e12, "both")
-    assert run_length(cfg, Scenario(GM, 0.0, 0.0, 0, 200, seed=1)) is None
+    assert first_detection(cfg, generate(Scenario(GM, 0.0, 0.0, 0, 200, seed=1))) is None
 
 
 def test_run_length_tiny_threshold_fires_immediately():
     cfg = DetectorConfig(GM, 0.0, 1e-12, "both")
-    rl = run_length(cfg, Scenario(GM, 0.0, 0.0, 0, 200, seed=1))
+    rl = first_detection(cfg, generate(Scenario(GM, 0.0, 0.0, 0, 200, seed=1)))
     assert rl == 1
 
 
@@ -229,7 +228,7 @@ def test_pop_steps_are_those_of_update(family):
                     assert got.dtype == np.int64 and got.tolist() == want
                     assert np.array_equal(bench._pop_steps(st, g), got)
                     assert st.records == [] and st.counters == CounterSet()
-                    assert (st.total_count, st.total_sum, st.base_count, st.base_sum) == (0, 0.0, 0, 0.0)
+                    assert (st.total_count, st.total_sum) == (0, 0.0)
     assert longest_cascade >= 3 and barriers > 0
 
 
@@ -453,11 +452,11 @@ def test_counter_profile_adaptive_dominates_full():
     cfg = DetectorConfig(PO, 1.0, 25.0, "up", stop_on_detect=False)
     adaptive = counter_profile(cfg, scen, mode="adaptive")
     full = counter_profile(cfg, scen, mode="full")
-    assert np.array_equal(adaptive.stored, full.stored)
+    assert np.array_equal(adaptive.curves_stored_sum, full.curves_stored_sum)
     assert np.array_equal(adaptive.merges, full.merges)
     # the check never evaluates more curves than full maximisation, anywhere
-    assert np.all(adaptive.evaluated <= full.evaluated)
-    assert adaptive.evaluated.sum() < full.evaluated.sum()
+    assert np.all(adaptive.curves_evaluated_sum <= full.curves_evaluated_sum)
+    assert adaptive.curves_evaluated_sum.sum() < full.curves_evaluated_sum.sum()
 
 
 def test_counter_profile_rejects_bad_mode():
@@ -477,7 +476,7 @@ def test_counter_csv_format():
     assert lines[1].split(",")[0] == "1"
     # an empty stream: four empty int64 columns and the header alone
     empty = counter_profile(DetectorConfig(GM, None, 30.0, "both"), Scenario(GM, 0.0, 0.0, 0, 0, seed=2))
-    cols = (empty.stored, empty.evaluated, empty.merges, empty.transcendental)
+    cols = (empty.curves_stored_sum, empty.curves_evaluated_sum, empty.merges, empty.transcendental_calls)
     assert all(c.dtype == np.int64 and c.shape == (0,) for c in cols)
     buf = io.StringIO()
     write_counter_csv(empty, buf)

@@ -12,8 +12,13 @@ that `q_full` makes (one per record), and the family's cost model:
 - a curve: 1 log evaluation known, 2 unknown, and with theta0 unknown each
   walk or maximisation over a non-empty state adds 1 for the pooled term;
 each log evaluation costing the family's ``transcendental_cost`` calls.
+`counter_profile` derives its per-step columns from the same tallies, so
+they must be the step-to-step differences of those counts.
 """
 
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from streamcpd import (
@@ -23,6 +28,7 @@ from streamcpd import (
     Scenario,
     attach_bounds,
     check,
+    counter_profile,
     generate,
     q_full,
     step_states,
@@ -86,13 +92,15 @@ IDS = [f"{c[0].kind.value}-{'known' if c[3] else 'unknown'}-{c[4]}" for c in CAS
 @pytest.mark.parametrize("spec,pre,post,known,direction", CASES, ids=IDS)
 def test_counters_equal_the_counts_seen_from_outside(spec, pre, post, known, direction):
     # null for 150 steps (the barrier fires with theta0 known), then shifted
-    data = generate(Scenario(spec, pre, post, 150, 300, 73)).tolist()
+    scenario = Scenario(spec, pre, post, 150, 300, 73)
+    data = generate(scenario).tolist()
     config = DetectorConfig(spec, pre if known else None, THRESHOLD, direction)
-    fused, layered, maximised = (Detector(config).states for _ in range(3))
+    fused, layered, maximised, full = (Detector(config).states for _ in range(4))
     n = len(fused)
-    out_fused = Outside(spec, known)
+    out_fused, out_full = Outside(spec, known), Outside(spec, known)
     out_layered = [Outside(spec, known) for _ in range(n)]
     out_maximised = [Outside(spec, known) for _ in range(n)]
+    seen = {"adaptive": [], "full": []}  # the summed counts after each step
     multi_eval_walks = 0
     for T, x in enumerate(data, 1):
         g = spec.suff(x)
@@ -107,6 +115,7 @@ def test_counters_equal_the_counts_seen_from_outside(spec, pre, post, known, dir
         out_fused.evaluated_curves(evals, 0 if known else walked)
         multi_eval_walks += evals > walked
         assert total(fused) == out_fused.counters()
+        seen["adaptive"].append(out_fused.counters())
 
         # the public layers, one state at a time, with a check at every step
         for st, out in zip(layered, out_layered):
@@ -127,6 +136,25 @@ def test_counters_equal_the_counts_seen_from_outside(spec, pre, post, known, dir
             if st.records:
                 out.evaluated_curves(len(st.records), 1)
             assert st.counters == out.counters()
+
+        # counter_profile's full mode: no walk, and q_full over every
+        # direction from the second step on with theta0 unknown
+        before = [len(st.records) for st in full]
+        step_states(full, spec, g, None)
+        for st, b in zip(full, before):
+            out_full.absorbed(st, b)
+            if known or T >= 2:
+                q_full(st, spec)
+                if st.records:
+                    out_full.evaluated_curves(len(st.records), 1)
+        assert total(full) == out_full.counters()
+        seen["full"].append(out_full.counters())
+
+    # each profile column is the per-step difference of the counts
+    for mode, counts in seen.items():
+        prof = np.column_stack(astuple(counter_profile(config, scenario, mode)))
+        assert prof.dtype == np.int64
+        assert np.array_equal(prof, np.diff([astuple(c) for c in counts], axis=0, prepend=0))
 
     assert out_fused.bounds > 0 and multi_eval_walks > 0
     assert (out_fused.barriers > 0) == known  # the barrier fires only with theta0 known

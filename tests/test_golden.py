@@ -80,6 +80,8 @@ DETECT = {
 OTHER = {
     "counters/adaptive": "650af69d0cf46b25988b5bcba79b51120148d1a5c552bc945ea692e3fc6fa5cb",
     "counters/full": "08ccd1801246397ed77caa03b5078e179434e8e9f52fe2131363ddb3933a87cf",
+    "counters/known/adaptive": "e1257166eb30368bbbb67b679906e8080ac89cd535c52df6aa67f49b867c5c40",
+    "counters/known/full": "b32a8fe291ad2d186a2368fddaa53100409289dad0d4e71616a0b56a7306a55a",
     "delays": "0424172ab8bdbf5d06f5876d7269d907e184f7b453bcb945ddd1cfca81cf3a24",
     "calibrate": "3cdddba438d93c8b3584cebdab8c1d6742970748c855283be75c9ec0c8a90d97",
 }
@@ -168,6 +170,21 @@ def test_bench_counters_digest(tmp_path, mode):
             "--output", str(out)]
     assert main(argv) == 0
     assert _sha(out) == OTHER[f"counters/{mode}"]
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "full"])
+def test_bench_known_counters_digest(tmp_path, mode):
+    # theta0 known: a log call per prefix bound and per curve, no pooled
+    # term; the null stretch is long enough for the barrier to fire
+    out = tmp_path / "counters.csv"
+    argv = ["bench", "--experiment", "counters", "--family", "gauss-var", "--theta0", "1",
+            "--direction", "up", "--threshold", "12", "--theta-pre", "1", "--theta-post", "3",
+            "--change-at", "300", "--length", "600", "--seed", "3", "--mode", mode,
+            "--output", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert any(row.split(",")[1] == "0" for row in rows)  # a step ended with nothing stored
+    assert _sha(out) == OTHER[f"counters/known/{mode}"]
 
 
 def test_bench_delays_digest(tmp_path):

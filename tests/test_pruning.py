@@ -23,18 +23,21 @@ GV = FamilySpec.gauss_var()
 PO = FamilySpec.poisson()
 
 
-def check_invariants(state, rel=1e-9):
-    """Assert the structural invariants of a pruning state."""
+def check_invariants(state, base, rel=1e-9):
+    """Assert the structural invariants of a pruning state after a step.
+
+    ``base`` is the (count, sum) of the totals when the state last emptied,
+    (0, 0.0) if it never did: the oldest record must start there.  Returns
+    the base for the next step's call.
+    """
     recs = state.records
     sign = state.sign
     taus = [r.tau for r in recs]
     assert taus == sorted(set(taus)), "candidate times must be strictly increasing"
     if recs:
-        assert state.base_count == recs[0].tau
-        assert state.base_sum == recs[0].cum_sum
+        assert (recs[0].tau, recs[0].cum_sum) == base, "the oldest record starts where the state last emptied"
     else:
-        assert state.base_count == state.total_count
-        assert state.base_sum == state.total_sum
+        base = (state.total_count, state.total_sum)
 
     means = []
     for i, r in enumerate(recs):
@@ -50,11 +53,12 @@ def check_invariants(state, rel=1e-9):
             assert (m - state.g0) * sign > 0, f"segment mean {m} behind null mean {state.g0}"
 
     if recs:
-        total = state.base_sum + sum(
+        total = base[1] + sum(
             (recs[i + 1].cum_sum if i + 1 < len(recs) else state.total_sum) - r.cum_sum
             for i, r in enumerate(recs)
         )
         assert math.isclose(total, state.total_sum, rel_tol=rel, abs_tol=1e-12), "telescoping broken"
+    return base
 
 
 def feed(state, spec, xs):
@@ -79,7 +83,9 @@ def test_update_null_drop():
     st_ = feed(new_state(Direction.UP, 0.0, GM), GM, [1.0, 0.5, -2.0])
     assert st_.records == []
     assert q_full(st_, GM) == (0.0, None)
-    assert st_.base_count == 3 and st_.base_sum == -0.5
+    # the next candidate starts where the state emptied
+    update(st_, GM.suff(2.0))
+    assert st_.records == [CurveRecord(3, -0.5)]
 
 
 def test_update_keeps_increasing_means():
@@ -138,9 +144,10 @@ def test_q_full_equals_oracle_every_step(spec, theta, gen, known, direction):
     theta0 = theta if known else None
     state = new_state(direction, theta0, spec)
     oracle_q, _ = naive_q_path(spec, theta0, direction, data)
+    base = (0, 0.0)
     for t, x in enumerate(data):
         update(state, spec.suff(x))
-        check_invariants(state)
+        base = check_invariants(state, base)
         q, _ = q_full(state, spec)
         assert abs(2 * q - 2 * oracle_q[t]) <= 1e-9 * max(1.0, abs(2 * oracle_q[t]))
     assert state.counters.merges <= 2 * state.total_count
@@ -152,9 +159,10 @@ def test_q_full_equals_oracle_every_step(spec, theta, gen, known, direction):
        st.one_of(st.none(), st.floats(min_value=-1, max_value=1)))
 def test_property_oracle_equivalence_gaussian(xs, direction, theta0):
     state = new_state(direction, theta0, GM)
+    base = (0, 0.0)
     for t, x in enumerate(xs):
         update(state, GM.suff(x))
-        check_invariants(state)
+        base = check_invariants(state, base)
         q, _ = q_full(state, GM)
         want = naive_q(GM, theta0, direction, xs[: t + 1]).q
         assert abs(2 * q - 2 * want) <= 1e-9 * max(1.0, abs(2 * want))

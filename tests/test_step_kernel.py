@@ -4,8 +4,8 @@
 `oracle.layered_step_states` runs the public `update`, `attach_bounds` and
 `check` they replace.  Both are driven on twin states, and after every step
 the detection, the curves evaluated and stored and the whole state must be
-equal bit for bit: every record's (tau, cum_sum, m_bound), the totals, the
-base and the four tallies the counters derive from.  Both paths share that
+equal bit for bit: every record's (tau, cum_sum, m_bound), the totals and
+the four tallies the counters derive from.  Both paths share that
 derivation; `tests/test_counters.py` checks the counts from outside.
 """
 
@@ -43,7 +43,7 @@ def bits(x) -> bytes:
 
 def snapshot(states):
     return [
-        (s.total_count, bits(s.total_sum), s.base_count, bits(s.base_sum),
+        (s.total_count, bits(s.total_sum),
          (s.stored_sum, s.bounded, s.evaluated, s.pooled),
          [(r.tau, bits(r.cum_sum), bits(r.m_bound)) for r in s.records])
         for s in states
