@@ -172,7 +172,8 @@ def update_root_pruning(
         raise ValueError("tolerance must be positive")
     c = CounterSet() if root_counters is None else root_counters
     recs = state.records
-    recs.append(RootRecord(state.total_count, state.total_sum))
+    # keep the cached means that `check` and `attach_bounds` read, as `update` does
+    recs.append(RootRecord(state.total_count, state.total_sum, left_mean=state.newest_mean))
     state.total_count += 1
     state.total_sum += g
     T = state.total_count
@@ -197,6 +198,7 @@ def update_root_pruning(
         recs.pop()
     elif recs:
         recs[-1].root = suf_root
+        state.newest_mean = (St - recs[-1].cum_sum) / (T - recs[-1].tau)
 
     state.stored_sum += len(recs)
     return state

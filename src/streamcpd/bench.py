@@ -118,30 +118,31 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
     ``state``, which is left as it is.
 
     The tail-merge cascade and the null barrier of `pruning._absorb`, in
-    its expressions and order, on bare stacks of the stored taus and their
-    prefix sums (both only pop the newest candidate): change both together.
+    its expressions and order, on one stack of (tau, prefix sum, left mean)
+    of the stored candidates: a comparison divides once, a merge pops once.
+    Change both together.
     """
     end = len(g)
     pop = [end + 1] * end
     sign = state.sign
     g0 = state.g0
     known = state.theta0 is not None
-    taus: list[int] = []  # the stored candidates but the newest, (lt, lc)
-    sums: list[float] = []
-    St = 0.0
+    stack: list[tuple[int, float, float]] = []  # the stored candidates but the newest, (lt, lc, left)
+    St = mean = 0.0
     for T, gi in enumerate(g, 1):
-        lt, lc = T - 1, St
+        lt, lc, left = T - 1, St, mean
         St += gi
-        while taus:
-            if ((St - lc) / (T - lt) - (lc - sums[-1]) / (lt - taus[-1])) * sign > 0:
+        mean = (St - lc) / (T - lt)
+        while stack:
+            if (mean - left) * sign > 0:
                 break
             pop[lt] = T
-            lt, lc = taus.pop(), sums.pop()
-        if known and not taus and ((St - lc) / (T - lt) - g0) * sign <= 0:
+            lt, lc, left = stack.pop()
+            mean = (St - lc) / (T - lt)
+        if known and not stack and (mean - g0) * sign <= 0:
             pop[lt] = T
         else:
-            taus.append(lt)
-            sums.append(lc)
+            stack.append((lt, lc, left))
     return np.array(pop, dtype=np.int64)
 
 
@@ -188,22 +189,22 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     """
     spec = config.spec
     states = Detector(config).states
-    g_rows = [spec.suff_arr(np.asarray(s, dtype=float)) for s in streams]
-    if len({len(g) for g in g_rows}) > 1:
+    if len({len(s) for s in streams}) > 1:
         raise ValueError("the streams of one call must all have one length")
-    end = len(g_rows[0]) if g_rows else 0
-    S = np.zeros((len(g_rows), end + 1))
-    pop = np.empty((len(g_rows) * len(states), end), dtype=np.int64)
-    for i, g in enumerate(g_rows):
-        np.cumsum(g, out=S[i, 1:])
-        g = g.tolist()  # one stream's observations as a list at a time
+    end = len(streams[0]) if streams else 0
+    G = spec.suff_arr(np.array(streams, dtype=float).reshape(len(streams), end))
+    S = np.zeros((len(G), end + 1))
+    np.cumsum(G, axis=1, out=S[:, 1:])
+    pop = np.empty((len(G) * len(states), end), dtype=np.int64)
+    for i in range(len(G)):
+        g = G[i].tolist()  # one stream's observations as a list at a time
         pop[i * len(states):(i + 1) * len(states)] = [_pop_steps(st, g) for st in states]
     P = dP = None
     if config.theta0 is None:
         P = np.zeros_like(S)
         dP = np.zeros_like(S)
         P[:, 1:], dP[:, 1:] = _prefix_terms(spec, S[:, 1:], np.arange(1, end + 1))
-    sign = np.array([float(st.sign) for st in states] * len(g_rows))
+    sign = np.array([float(st.sign) for st in states] * len(G))
     return states, S, P, dP, pop, sign
 
 

@@ -26,6 +26,7 @@ def derive(added, stored, stored_sum, bounded, evaluated, pooled, known: bool, c
     ``added`` candidates less the ``stored`` ones were removed, by a merge
     or the barrier; a prefix bound costs 1 log evaluation (3 with theta0
     unknown), a curve 1 (2), a pooled term 1, each times the family's
-    ``cost``."""
+    ``cost``: the cost model of pricing each from scratch, while the step
+    caches prefix terms and so makes fewer calls than it counts."""
     logs = bounded + evaluated if known else 3 * bounded + 2 * evaluated + pooled
     return CounterSet(added - stored, stored_sum, evaluated, cost * logs)

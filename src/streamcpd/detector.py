@@ -61,9 +61,7 @@ def step_states(
     """
     if threshold is not None and not threshold > 0:
         raise ValueError("threshold must be positive")
-    stored = 0
-    for st in states:
-        stored += _absorb(st, g, spec)
+    stored = _absorb(states, g, spec)
     detection = None
     evals = 0
     # with the pre-change parameter unknown the statistic needs at least

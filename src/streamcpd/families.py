@@ -473,11 +473,12 @@ class FamilySpec:
         return out
 
     def suff_arr(self, x):
-        """`suff` over an array, with the same support validation: the family's
-        array test, or where a value fails it the scalar `suff` mapped, so that
-        the first bad value raises its usual error."""
+        """`suff` over an array of any shape, with the same support validation:
+        the family's array test, or where a value fails it the scalar `suff`
+        mapped in C order, so that the first bad value raises its usual error."""
         import numpy as np
 
         x = np.array(x, dtype=float)
         g = self._forms.suff_arr(np, x)
-        return g if g is not None else np.array([self.suff(v) for v in x.tolist()], dtype=float)
+        return g if g is not None else np.array(
+            [self.suff(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)

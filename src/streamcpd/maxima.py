@@ -51,7 +51,8 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
         last.m_bound = 0.0
         return
     prev = recs[-2]
-    last.m_bound = prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum)
+    last.m_bound = prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum,
+                                          last.pre_term, prev.pre_term, last.left_mean)
     state.bounded += 1
 
 
@@ -69,12 +70,13 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
     + prefix bound) below the threshold certifies every remaining candidate
     below it; twice the suffix stat reaching it is a detection on [tau, now].
     """
-    T, St = state.total_count, state.total_sum
-    pooled = None if state.theta0 is not None or not state.records else T * spec.conjugate(St / T)
+    T, St, pooled = state.total_count, state.total_sum, state.total_term
+    g_seg = state.newest_mean  # the newest candidate's, cached
     hit_tau = hit_stat = None
     evals, bound2 = 0, 0.0
     for r in reversed(state.records):
-        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled)
+        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled, r.pre_term, g_seg)
+        g_seg = None
         evals += 1
         bound2 = 2.0 * (m + r.m_bound)
         if bound2 < threshold:
@@ -83,6 +85,6 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
             hit_tau, hit_stat = r.tau, 2.0 * m
             break
     state.evaluated += evals
-    if pooled is not None:
+    if state.theta0 is None and evals:
         state.pooled += 1
     return hit_tau, hit_stat, evals, bound2

@@ -22,6 +22,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .counters import CounterSet, derive
 from .errors import ParamDomainError
@@ -36,12 +37,16 @@ class CurveRecord:
 
     ``cum_sum`` snapshots the running sum of g(x) over the first ``tau``
     observations (the prefix count equals ``tau`` itself).  ``m_bound`` is
-    the accumulated prefix bound used by the adaptive maxima check.
+    the accumulated prefix bound used by the adaptive maxima check; the
+    caches ``left_mean``, the mean of the segment that ends at tau (unused
+    on the first record), and ``pre_term``, tau A(cum_sum / tau), are fixed.
     """
 
     tau: int
     cum_sum: float
     m_bound: float = 0.0
+    left_mean: float = field(default=_NAN, compare=False)
+    pre_term: float = field(default=_NAN, compare=False)
 
 
 @dataclass(slots=True)
@@ -58,9 +63,13 @@ class PruneState:
     bounded: int = 0
     evaluated: int = 0
     pooled: int = 0
+    # caches of the step: the newest segment's mean, and T A(S_T / T)
+    newest_mean: float = _NAN
+    total_term: float = _NAN
     # caches, fixed at construction
     sign: int = 1
     cost: int = 1  # the family's transcendental_cost
+    conj: Callable[[float], float] | None = None  # the family's conjugate, with theta0 unknown
     alpha0: float = _NAN
     beta0: float = _NAN
     g0: float = _NAN
@@ -75,7 +84,8 @@ class PruneState:
 
 def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> PruneState:
     """Empty state; the represented statistic is identically zero."""
-    state = PruneState(direction, theta0, sign=direction.sign, cost=spec.transcendental_cost)
+    state = PruneState(direction, theta0, sign=direction.sign, cost=spec.transcendental_cost,
+                       conj=spec.conjugate if theta0 is None else None)
     if theta0 is not None:
         if not spec.in_domain(theta0):
             lo, hi = spec.param_domain
@@ -90,63 +100,72 @@ def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> P
 
 def update(state: PruneState, g: float) -> PruneState:
     """Absorb g = g(x_T): `_absorb` without the prefix bound (`attach_bounds`)."""
-    _absorb(state, g, None)
+    _absorb([state], g, None)
     return state
 
 
-def _absorb(state: PruneState, g: float, spec: FamilySpec | None) -> int:
-    """Append the newest candidate, run the tail merge cascade, then the null
+def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
+    """Absorb g into states fed the same observations: price T A(S_T / T)
+    once (theta0 unknown), then on each run the tail merge cascade from the
+    newest candidate (lt, lc), stored only if it survives, and the null
     barrier when theta0 is known; amortized O(1); returns the curves stored.
-    The newest is held as (lt, lc) and stored only if it survives; given
-    ``spec``, it gets its prefix bound as from `maxima.attach_bounds`.
-    `bench._pop_steps` mirrors cascade and barrier expression for expression: change both.
+    A comparison divides once and reads the cached left mean; NaN merges.
+    Given ``spec``, a stored newest gets its prefix bound as from
+    `maxima.attach_bounds`.  `bench._pop_steps` mirrors cascade and barrier
+    expression for expression: change both.
     """
-    recs = state.records
-    lt, lc = state.total_count, state.total_sum
-    T = state.total_count = lt + 1
-    St = state.total_sum = lc + g
-    sign = state.sign
-    n = len(recs)  # recs[:n] are the candidates older than (lt, lc)
-    while n:
-        prev = recs[n - 1]
-        if ((St - lc) / (T - lt) - (lc - prev.cum_sum) / (lt - prev.tau)) * sign > 0:
-            break
-        n -= 1
-        lt, lc = prev.tau, prev.cum_sum
-    if state.theta0 is not None and not n and ((St - lc) / (T - lt) - state.g0) * sign <= 0:
-        recs.clear()
-        return 0
-    state.stored_sum += n + 1
-    if n < len(recs):  # merged: recs[n] is (lt, lc)
-        del recs[n + 1:]
-    elif spec is not None and n:  # prev is recs[n - 1], where the cascade stopped
-        recs.append(CurveRecord(lt, lc, prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc)))
-        state.bounded += 1
-    else:
-        recs.append(CurveRecord(lt, lc))
-    return n + 1
+    first = states[0]
+    T = first.total_count + 1
+    St = first.total_sum + g
+    term = _NAN if first.conj is None else T * first.conj(St / T)
+    stored = 0
+    for state in states:
+        recs = state.records
+        lt, lc, left, pre = T - 1, state.total_sum, state.newest_mean, state.total_term
+        state.total_count, state.total_sum, state.total_term = T, St, term
+        sign = state.sign
+        n = len(recs)  # recs[:n] are the candidates older than (lt, lc)
+        mean = (St - lc) / (T - lt)
+        while n:
+            if (mean - left) * sign > 0:
+                break
+            n -= 1
+            r = recs[n]
+            lt, lc, left, pre = r.tau, r.cum_sum, r.left_mean, r.pre_term
+            mean = (St - lc) / (T - lt)
+        if state.theta0 is not None and not n and (mean - state.g0) * sign <= 0:
+            recs.clear()
+            continue
+        state.newest_mean = mean
+        state.stored_sum += n + 1
+        stored += n + 1
+        if n < len(recs):  # merged: recs[n] is (lt, lc)
+            del recs[n + 1:]
+        elif spec is not None and n:  # recs[n - 1] is where the cascade stopped
+            prev = recs[n - 1]
+            m = curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc, pre, prev.pre_term, left)
+            recs.append(CurveRecord(lt, lc, prev.m_bound + m, left, pre))
+            state.bounded += 1
+        else:
+            recs.append(CurveRecord(lt, lc, 0.0, left, pre))
+    return stored
 
 
-def curve_m(
-    state: PruneState,
-    spec: FamilySpec,
-    tau: int,
-    cum_sum: float,
-    T: int,
-    St: float,
-    pooled: float | None = None,
-) -> float:
+def curve_m(state: PruneState, spec: FamilySpec, tau: int, cum_sum: float, T: int, St: float,
+            pooled: float | None = None, pre: float | None = None, g_seg: float | None = None) -> float:
     """Likelihood-ratio statistic (Q scale) of a change at ``tau`` within the
     first ``T`` observations, post-change restricted to the state's side.
 
     ``cum_sum`` and ``St`` are the prefix sums of g at ``tau`` and ``T``.
     theta0 known: n [A(g_seg) - (a0 g_seg - b0)]; unknown: tau A(g_pre) +
-    n A(g_seg) - T A(g_all), whose last term ``pooled`` may be shared across
-    curves.  Zero when g_seg is not past the pre-change mean in the state's
-    direction, and at tau = 0 with theta0 unknown (no pre-change data).
+    n A(g_seg) - T A(g_all), with ``pooled``, ``pre`` and ``g_seg`` the
+    cached T A(g_all), tau A(g_pre) and g_seg, computed when None.  Zero when
+    g_seg is not past the pre-change mean in the state's direction, and at
+    tau = 0 with theta0 unknown (no pre-change data).
     """
     n = T - tau
-    g_seg = (St - cum_sum) / n
+    if g_seg is None:
+        g_seg = (St - cum_sum) / n
     if state.theta0 is not None:
         if (g_seg - state.g0) * state.sign <= 0:
             return 0.0
@@ -159,7 +178,9 @@ def curve_m(
             return 0.0
         if pooled is None:
             pooled = T * spec.conjugate(St / T)
-        m = tau * spec.conjugate(g_pre) + n * spec.conjugate(g_seg) - pooled
+        if pre is None:
+            pre = tau * spec.conjugate(g_pre)
+        m = pre + n * spec.conjugate(g_seg) - pooled
     return m if m > 0.0 else 0.0  # >= 0 in exact arithmetic; clip rounding noise
 
 
@@ -173,17 +194,15 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
     recs = state.records
     if not recs:
         return 0.0, None
-    T = state.total_count
-    St = state.total_sum
-    pooled = None if state.theta0 is not None else T * spec.conjugate(St / T)
+    T, St, pooled = state.total_count, state.total_sum, state.total_term
     best = 0.0
     best_tau: int | None = None
     for r in recs:
-        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled)
+        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled, r.pre_term)
         if m > best:
             best = m
             best_tau = r.tau
     state.evaluated += len(recs)
-    if pooled is not None:
+    if state.theta0 is None:
         state.pooled += 1
     return best, best_tau

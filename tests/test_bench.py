@@ -15,6 +15,7 @@ from streamcpd import (
     DetectorConfig,
     FamilySpec,
     Scenario,
+    SupportError,
     calibrate_threshold,
     counter_profile,
     delay_experiment,
@@ -66,6 +67,14 @@ def overflow_streams(spec):
         s[120:120 + len(vals)] = vals
         streams.append(s)
     return (pre, 5.0, None) if spec is GM else (pre, None), streams
+
+
+# gauss-mean streams whose prefix sums overflow: segment means are inf or
+# inf - inf = NaN, and a comparison with a NaN mean merges
+NAN_STREAMS = [
+    [0.0, 1e308, 1e308, 0.0, 1.0, -1e308, 2.0, 3.0],
+    [1e308, -1e308, 1e308, 1e308, -1.0, 0.5, -1e308, 2.0, -3.0],
+]
 
 
 def test_run_length_censored_at_huge_threshold():
@@ -206,6 +215,8 @@ def test_pop_steps_are_those_of_update(family):
             data = generate(Scenario(spec, pre, post, change, length, seed=500 + family + change))
             streams.append(spec.suff_arr(data).tolist())
     streams += [streams[1][:k] for k in (0, 1, 2, 3)]
+    if spec is GM:
+        streams += NAN_STREAMS
     longest_cascade = barriers = 0
     for known in (True, False):
         for direction in ("up", "down", "both"):
@@ -230,6 +241,21 @@ def test_pop_steps_are_those_of_update(family):
                     assert st.records == [] and st.counters == CounterSet()
                     assert (st.total_count, st.total_sum) == (0, 0.0)
     assert longest_cascade >= 3 and barriers > 0
+
+
+@pytest.mark.parametrize("theta0", [0.0, None], ids=["known", "unknown"])
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_pop_steps_merge_on_nan_comparisons(theta0, direction):
+    # the pops recorded before the comparisons read cached means; a cascade
+    # that kept a candidate on a NaN comparison would differ here
+    want = {
+        (0.0, "up"): ([1, 9, 9, 4, 5, 6, 7, 8], [2, 2, 10, 10, 5, 6, 7, 8, 9]),
+        (0.0, "down"): ([1, 2, 3, 9, 5, 6, 7, 8], [1, 3, 3, 4, 10, 6, 7, 8, 9]),
+        (None, "up"): ([9, 9, 9, 4, 5, 6, 7, 8], [10, 2, 10, 10, 5, 6, 7, 8, 9]),
+        (None, "down"): ([9, 2, 3, 4, 5, 6, 7, 8], [10, 4, 3, 4, 5, 6, 7, 8, 9]),
+    }[theta0, direction]
+    st = Detector(DetectorConfig(GM, theta0, 1.0, direction)).states[0]
+    assert [bench._pop_steps(st, g).tolist() for g in NAN_STREAMS] == list(want)
 
 
 def test_running_max_raises_on_a_degenerate_segment_like_scalar():
@@ -440,6 +466,20 @@ def test_lanes_raise_on_a_degenerate_segment_like_scalar():
         first_detection(cfg, bad)
     with pytest.raises(DegenerateSegmentError):
         _first_detections(cfg, [*ordinary[:2], bad, *ordinary[2:4]])
+
+
+def test_lanes_raise_the_first_bad_value_in_stream_order():
+    # the stacked streams are validated at once; the error is that of the
+    # first stream holding a bad value, at its first one
+    cfg = DetectorConfig(PO, 2.0, 10.0, "both")
+    streams = [generate(Scenario(PO, 2.0, 2.0, 0, 30, seed=s)) for s in range(3)]
+    streams[1][7] = -1.0
+    streams[2][3] = 2.5
+    with pytest.raises(SupportError) as scalar:
+        first_detection(cfg, streams[1])
+    with pytest.raises(SupportError) as lanes:
+        _first_detections(cfg, streams)
+    assert "-1.0" in str(scalar.value) and str(lanes.value) == str(scalar.value)
 
 
 # ------------------------------------------------------------------

@@ -357,14 +357,18 @@ def test_suff_arr_vector_test_is_the_scalar_loop(name):
         got = spec.suff_arr(x)
         assert got.dtype == float and got is not x
         assert got.tobytes() == _scalar_suff(spec, x).tobytes()  # bit for bit, signs of zero too
+        stacked = x.reshape(30 if n == 300 else 1, -1)  # streams as rows, as the Monte Carlo kernels pass them
+        rows = spec.suff_arr(stacked)
+        assert rows.shape == stacked.shape and rows.tobytes() == got.tobytes()
     for v in [math.nan, math.inf, -math.inf, *bad]:
         x = draw(rng, 50)
         x[rng.integers(50)] = v
         with pytest.raises(SupportError) as scalar:
             _scalar_suff(spec, x)
-        with pytest.raises(SupportError) as vector:
-            spec.suff_arr(x)
-        assert str(vector.value) == str(scalar.value)
+        for shape in ((50,), (5, 10)):
+            with pytest.raises(SupportError) as vector:
+                spec.suff_arr(x.reshape(shape))
+            assert str(vector.value) == str(scalar.value)
 
 
 # ------------------------------------------------------------------

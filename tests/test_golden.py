@@ -7,6 +7,10 @@ change altered an output.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,8 @@ OTHER = {
     "counters/known/full": "b32a8fe291ad2d186a2368fddaa53100409289dad0d4e71616a0b56a7306a55a",
     "delays": "0424172ab8bdbf5d06f5876d7269d907e184f7b453bcb945ddd1cfca81cf3a24",
     "calibrate": "3cdddba438d93c8b3584cebdab8c1d6742970748c855283be75c9ec0c8a90d97",
+    "null_cost_profile/csv": "5f270529faf8528d41cef1ca72047949699cabd134d3c025b0b19f5cd048e7e2",
+    "null_cost_profile/stderr": "6c353019b6a9200251d6a5726e841e824d3204e5153ad60185597c942140f864",
 }
 # delay studies on 40 replicates of 150 steps, change at 60: each table has
 # detected, false-positive and censored rows
@@ -213,3 +219,19 @@ def test_calibrate_digest(tmp_path):
             "--target-arl", "100", "--reps", "50", "--seed", "1", "--output", str(out)]
     assert main(argv) == 0
     assert _sha(out) == OTHER["calibrate"]
+
+
+def test_null_cost_profile_digest(tmp_path):
+    # the one caller of update, q_full and root pruning together: its
+    # per-step counts and its summary lines
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "cost.csv"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "null_cost_profile.py"),
+         "--length", "2000", "--seed", "4", "-o", str(out)],
+        capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha(out) == OTHER["null_cost_profile/csv"]
+    assert hashlib.sha256(proc.stderr).hexdigest() == OTHER["null_cost_profile/stderr"]

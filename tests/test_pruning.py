@@ -1,6 +1,7 @@
 """Pruned state machine vs the exhaustive oracle."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from streamcpd import (
     ParamDomainError,
     new_state,
     q_full,
+    step_states,
     update,
 )
 from streamcpd.pruning import CurveRecord
@@ -23,12 +25,17 @@ GV = FamilySpec.gauss_var()
 PO = FamilySpec.poisson()
 
 
-def check_invariants(state, base, rel=1e-9):
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def check_invariants(state, spec, base, rel=1e-9):
     """Assert the structural invariants of a pruning state after a step.
 
     ``base`` is the (count, sum) of the totals when the state last emptied,
-    (0, 0.0) if it never did: the oldest record must start there.  Returns
-    the base for the next step's call.
+    (0, 0.0) if it never did: the oldest record must start there.  Every
+    cache must equal, bit for bit, its value computed from scratch.
+    Returns the base for the next step's call.
     """
     recs = state.records
     sign = state.sign
@@ -48,6 +55,15 @@ def check_invariants(state, base, rel=1e-9):
             means.append((state.total_sum - r.cum_sum) / (state.total_count - r.tau))
     for a, b in zip(means, means[1:]):
         assert (b - a) * sign > 0, f"segment means not strictly monotone: {means}"
+    # a record's left mean is the mean of the segment that ends at it
+    assert [bits(r.left_mean) for r in recs[1:]] == [bits(m) for m in means[:-1]]
+    if recs:
+        assert bits(state.newest_mean) == bits(means[-1])
+    if state.theta0 is None:
+        assert [bits(r.pre_term) for r in recs if r.tau > 0] == [
+            bits(r.tau * spec.conjugate(r.cum_sum / r.tau)) for r in recs if r.tau > 0]
+        T, St = state.total_count, state.total_sum
+        assert bits(state.total_term) == bits(T * spec.conjugate(St / T))
     if state.theta0 is not None:
         for m in means:
             assert (m - state.g0) * sign > 0, f"segment mean {m} behind null mean {state.g0}"
@@ -143,11 +159,14 @@ def test_q_full_equals_oracle_every_step(spec, theta, gen, known, direction):
     data = gen(rng, 200)
     theta0 = theta if known else None
     state = new_state(direction, theta0, spec)
+    fused = new_state(direction, theta0, spec)  # the same, through the step kernel
     oracle_q, _ = naive_q_path(spec, theta0, direction, data)
-    base = (0, 0.0)
+    base = fused_base = (0, 0.0)
     for t, x in enumerate(data):
         update(state, spec.suff(x))
-        base = check_invariants(state, base)
+        base = check_invariants(state, spec, base)
+        step_states([fused], spec, spec.suff(x), 20.0)
+        fused_base = check_invariants(fused, spec, fused_base)
         q, _ = q_full(state, spec)
         assert abs(2 * q - 2 * oracle_q[t]) <= 1e-9 * max(1.0, abs(2 * oracle_q[t]))
     assert state.counters.merges <= 2 * state.total_count
@@ -159,10 +178,13 @@ def test_q_full_equals_oracle_every_step(spec, theta, gen, known, direction):
        st.one_of(st.none(), st.floats(min_value=-1, max_value=1)))
 def test_property_oracle_equivalence_gaussian(xs, direction, theta0):
     state = new_state(direction, theta0, GM)
-    base = (0, 0.0)
+    fused = new_state(direction, theta0, GM)  # the same, through the step kernel
+    base = fused_base = (0, 0.0)
     for t, x in enumerate(xs):
         update(state, GM.suff(x))
-        base = check_invariants(state, base)
+        base = check_invariants(state, GM, base)
+        step_states([fused], GM, GM.suff(x), 5.0)
+        fused_base = check_invariants(fused, GM, fused_base)
         q, _ = q_full(state, GM)
         want = naive_q(GM, theta0, direction, xs[: t + 1]).q
         assert abs(2 * q - 2 * want) <= 1e-9 * max(1.0, abs(2 * want))

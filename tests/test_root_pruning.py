@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from streamcpd import Direction, FamilySpec, new_state, update
+from streamcpd import Direction, FamilySpec, check, new_state, update
 from streamcpd.counters import CounterSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -67,6 +67,11 @@ def test_root_pruning_identical_tau_sets(direction):
         update(st_mean, GM.suff(x))
         update_root_pruning(st_root, GM.suff(x), GM, 0.0, 1e-11)
         assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
+        # the cached means that `check` reads, and so its outcome
+        assert [r.left_mean for r in st_mean.records[1:]] == [r.left_mean for r in st_root.records[1:]]
+        if st_mean.records:
+            assert st_mean.newest_mean == st_root.newest_mean
+        assert check(st_mean, GM, 5.0)[:4] == check(st_root, GM, 5.0)[:4]
 
 
 def test_root_pruning_counts_transcendentals():

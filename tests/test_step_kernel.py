@@ -4,8 +4,9 @@
 `oracle.layered_step_states` runs the public `update`, `attach_bounds` and
 `check` they replace.  Both are driven on twin states, and after every step
 the detection, the curves evaluated and stored and the whole state must be
-equal bit for bit: every record's (tau, cum_sum, m_bound), the totals and
-the four tallies the counters derive from.  Both paths share that
+equal bit for bit: every record's (tau, cum_sum, m_bound) and cached
+(left_mean, pre_term), the totals, the state's cached (newest_mean,
+total_term) and the four tallies the counters derive from.  Both paths share that
 derivation; `tests/test_counters.py` checks the counts from outside.
 """
 
@@ -43,9 +44,10 @@ def bits(x) -> bytes:
 
 def snapshot(states):
     return [
-        (s.total_count, bits(s.total_sum),
+        (s.total_count, bits(s.total_sum), bits(s.newest_mean), bits(s.total_term),
          (s.stored_sum, s.bounded, s.evaluated, s.pooled),
-         [(r.tau, bits(r.cum_sum), bits(r.m_bound)) for r in s.records])
+         [(r.tau, bits(r.cum_sum), bits(r.m_bound), bits(r.left_mean), bits(r.pre_term))
+          for r in s.records])
         for s in states
     ]
 
@@ -95,6 +97,22 @@ def test_kernel_equals_layers_on_alarm_streams(spec, theta_pre, posts, known, di
     post = posts[1] if direction == "down" else posts[0]
     data = generate(Scenario(spec, theta_pre, post, 150, 300, 72)).tolist()
     assert run_both(spec, theta_pre if known else None, direction, 5.0, data) > 0
+
+
+# prefix sums that overflow: segment means are inf or inf - inf = NaN, and
+# a comparison with a NaN mean merges
+NAN_STREAMS = [
+    [0.0, 1e308, 1e308, 0.0, 1.0, -1e308, 2.0, 3.0],
+    [1e308, -1e308, 1e308, 1e308, -1.0, 0.5, -1e308, 2.0, -3.0],
+]
+
+
+@pytest.mark.parametrize("threshold", [5.0, None])
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("theta0", [0.0, None], ids=["known", "unknown"])
+def test_kernel_equals_layers_on_overflowing_means(theta0, direction, threshold):
+    for xs in NAN_STREAMS:
+        run_both(FamilySpec.gauss_mean(), theta0, direction, threshold, xs)
 
 
 OBSERVATIONS = {
