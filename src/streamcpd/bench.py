@@ -10,7 +10,7 @@ output metadata).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import CalibrationError
 from . import families
 from .families import _TINY, FamilySpec
 from .pruning import curve_m, q_full
-from .simulate import Scenario, generate, require_int
+from .simulate import Scenario, _draws, generate, require_int
 
 
 def _child_seed(seed: int, rep: int) -> int:
@@ -177,21 +177,21 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     """What both Monte Carlo kernels price, with one row per (stream,
     direction): (states, S, P, dP, pop, sign).
 
-    The streams must all have one length; a batch of two lengths raises
-    ValueError.  ``states`` are the config's empty direction states, and
-    row i * len(states) + k is stream i in direction k.  S[i, T] is stream
-    i's prefix sum g_1 + ... + g_T, accumulated left to right as `update`
-    does.  With theta0 unknown P[i, T] is T A(S[i, T] / T) as priced, with
-    its bound dP[i, T] (`_prefix_terms`): the pooled term at step T and the
-    pre-change term of the candidate at tau = T; with theta0 known both are
-    None.  Row r of ``pop`` is `_pop_steps` of its stream and direction,
+    The streams, a list or the rows of a 2-D array, must all have one
+    length; a batch of two lengths raises ValueError.  ``states`` are the
+    config's empty direction states, and row i * len(states) + k is stream
+    i in direction k.  S[i, T] is stream i's prefix sum g_1 + ... + g_T,
+    accumulated left to right as `update` does.  With theta0 unknown
+    P[i, T] is T A(S[i, T] / T) as priced, with its bound dP[i, T]
+    (`_prefix_terms`): the pooled term at step T and the pre-change term of
+    the candidate at tau = T; with theta0 known both are None.  Row r of ``pop`` is `_pop_steps` of its stream and direction,
     and sign[r] its direction's sign.
     """
     spec = config.spec
     states = Detector(config).states
     if len({len(s) for s in streams}) > 1:
         raise ValueError("the streams of one call must all have one length")
-    end = len(streams[0]) if streams else 0
+    end = len(streams[0]) if len(streams) else 0
     G = spec.suff_arr(np.array(streams, dtype=float).reshape(len(streams), end))
     S = np.zeros((len(G), end + 1))
     np.cumsum(G, axis=1, out=S[:, 1:])
@@ -319,22 +319,19 @@ def calibrate_threshold(
         raise ValueError("null_theta is required when the pre-change parameter is unknown")
     spec_sim = null_spec if null_spec is not None else config.spec
     length = 3 * target_arl
+    seeds = [_child_seed(seed, r) for r in range(reps)]
     # the config threshold is irrelevant here; the statistic paths price all
     # thresholds simultaneously
-    paths = []
-    for r in range(reps):
-        scen = Scenario(spec_sim, theta_sim, theta_sim, 0, length, _child_seed(seed, r))
-        stream = generate(scen)
-        if square_data:
-            stream = stream * stream
-        paths.append(stat_running_max(config, stream))
+    blocks = _draws(Scenario(spec_sim, theta_sim, theta_sim, 0, length, seeds[0]), seeds)
+    paths = np.empty((reps, length))
+    for r, stream in enumerate(x for b in blocks for x in (b * b if square_data else b)):
+        paths[r] = stat_running_max(config, stream)
 
     def arl_hat(thr: float) -> float:
-        total = 0
-        for p in paths:
-            idx = int(np.searchsorted(p, thr, side="left"))
-            total += idx + 1 if idx < len(p) else length
-        return total / reps
+        # each path is non-decreasing and never NaN, so the steps below thr
+        # are where searchsorted(path, thr, "left") puts it
+        idx = np.count_nonzero(paths < thr, axis=1)
+        return int(np.where(idx < length, idx + 1, length).sum()) / reps
 
     lo = hi = None  # lo: below band, hi: above band
     thr = 4.0 * np.log(max(target_arl, 100))
@@ -463,26 +460,26 @@ def delay_experiment(runs: list[DelayRun], reps: int) -> list[DelayRow]:
 
     Replicates of different runs share seeds, so two models of the same
     scenario see identical data (paired comparison).  The replicates of a
-    run all have its scenario's length and go through `_first_detections`
-    together, with detection times equal to `first_detection` on each
-    replicate's stream.
+    run all have its scenario's length: they are drawn a block at a time
+    (`simulate._draws`) and go through `_first_detections` together, with
+    detection times equal to `first_detection` on each replicate's stream.
     """
     require_int("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     rows: list[DelayRow] = []
     for run in runs:
-        scens = [replace(run.scenario, seed=_child_seed(run.scenario.seed, rep)) for rep in range(reps)]
-        streams = [generate(scen) for scen in scens]
+        seed, cut = run.scenario.seed, run.scenario.change_at
+        streams = np.concatenate(list(_draws(run.scenario, [_child_seed(seed, rep) for rep in range(reps)])))
         if run.square_data:
-            streams = [x * x for x in streams]
-        for rep, (scen, t) in enumerate(zip(scens, _first_detections(run.config, streams))):
+            np.multiply(streams, streams, out=streams)
+        for rep, t in enumerate(_first_detections(run.config, streams)):
             if t is None:
                 rows.append(DelayRow(run.label, rep, "censored", None, None))
-            elif t <= scen.change_at:
+            elif t <= cut:
                 rows.append(DelayRow(run.label, rep, "false_positive", t, None))
             else:
-                rows.append(DelayRow(run.label, rep, "detected", t, t - scen.change_at))
+                rows.append(DelayRow(run.label, rep, "detected", t, t - cut))
     return rows
 
 

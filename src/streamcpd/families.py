@@ -72,7 +72,9 @@ def _search_quantile(cdf, u, mean: float, sd: float, top: float):
     floor(mean + sd * ndtri(u)), probes at doubling distances from the guess
     bracket the answer and bisection closes the bracket, so a draw costs
     O(log |guess error|) CDF evaluations.  NaN where the CDF is NaN or the
-    answer would reach 2**53.
+    answer would reach 2**53.  An element's probes depend only on its own
+    uniform and on the pass count (w doubles each pass for every element),
+    so its answer does not depend on the other elements of ``u``.
     """
     import numpy as np
 

@@ -7,7 +7,8 @@ across platforms, and every sampler is a documented closed procedure rather
 than a library-internal rejection method.  The inverse CDFs (each family's
 ``inverse_cdf``) use only ``scipy.special``: closed-form quantiles for the
 continuous families, an exact search on ``pdtr``/``betaincc`` for Poisson and
-binomial draws.
+binomial draws.  The Monte Carlo paths draw many seeds a block at a time
+through the same path (`_draws`), one inverse-CDF call per block.
 """
 
 from __future__ import annotations
@@ -62,28 +63,52 @@ def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(1, 2**53, size=n).astype(float) / _TWO53
 
 
+# most values a block of `_draws` maps at once (at least one row)
+_CHUNK = 2**14
+
+
+def _draws(scenario: Scenario, seeds):
+    """`generate` of ``scenario`` under each of ``seeds``: (rows x length)
+    blocks of streams in seed order, row i the stream of seed i.
+
+    Each seed's uniforms come from its own PCG64 (`_open_uniforms`), and a
+    block of rows, at most `_CHUNK` values but at least one row, goes
+    through the family's inverse CDF once per segment and through the
+    support test once.  Every row equals its one-seed stream bit for bit:
+    ``ndtri`` and ``gammaincinv`` are elementwise, and the probes of the
+    quantile search (`families._search_quantile`) depend only on each
+    element's own uniform and the pass count.  The first bad row raises
+    `generate`'s ValueError for that seed, before its block is yielded.
+    """
+    spec = scenario.spec
+    inv = spec.inverse_cdf
+    n, cut = scenario.length, scenario.change_at
+    parts = [(scenario.theta_pre, 0, cut or n)] + ([(scenario.theta_post, cut, n)] if cut else [])
+    outside = lambda part: spec._forms.suff_arr(np, part) is None  # the family table's support test
+    step = max(1, _CHUNK // max(n, 1))
+    for lo in range(0, len(seeds), step):
+        block = seeds[lo:lo + step]
+        u = np.empty((len(block), n))
+        for i, seed in enumerate(block):
+            u[i] = _open_uniforms(np.random.Generator(np.random.PCG64(seed)), n)
+        # overflow, of a draw or of a gauss-var square, is reported below, by theta
+        with np.errstate(over="ignore"):
+            x = np.concatenate([inv(t, u[:, a:b].ravel()).reshape(len(block), b - a)
+                                for t, a, b in parts], axis=1)
+            if outside(x):
+                row = next(r for r in x if outside(r))
+                bad, part = ((scenario.theta_post, row[cut:]) if cut and not outside(row[:cut])
+                             else (scenario.theta_pre, row[:cut or None]))
+                what = "out-of-support" if np.isfinite(part).all() else "non-finite"
+                raise ValueError(f"theta={bad!r} gives {what} {spec.kind.value} observations"
+                                 + ("" if spec.shape is None else f" at shape {spec.shape!r}"))
+        yield x
+
+
 def generate(scenario: Scenario) -> np.ndarray:
     """Deterministic stream for the scenario; same seed, same bits.
 
     Raises ValueError naming a theta whose draws are not finite (inf or NaN)
     or outside the support (gamma draws that underflow to 0), and the shape.
     """
-    rng = np.random.Generator(np.random.PCG64(scenario.seed))
-    u = _open_uniforms(rng, scenario.length)
-    spec = scenario.spec
-    inv = spec.inverse_cdf
-    cut = scenario.change_at
-    outside = lambda part: spec._forms.suff_arr(np, part) is None  # the family table's support test
-    # overflow, of a draw or of a gauss-var square, is reported below, by theta
-    with np.errstate(over="ignore"):
-        if cut == 0:
-            x = inv(scenario.theta_pre, u)
-        else:
-            x = np.concatenate([inv(scenario.theta_pre, u[:cut]), inv(scenario.theta_post, u[cut:])])
-        if outside(x):
-            bad, part = ((scenario.theta_post, x[cut:]) if cut and not outside(x[:cut])
-                         else (scenario.theta_pre, x[:cut or None]))
-            what = "out-of-support" if np.isfinite(part).all() else "non-finite"
-            raise ValueError(f"theta={bad!r} gives {what} {spec.kind.value} observations"
-                             + ("" if spec.shape is None else f" at shape {spec.shape!r}"))
-    return x
+    return next(_draws(scenario, [scenario.seed]))[0]

@@ -90,6 +90,33 @@ OTHER = {
     "calibrate": "3cdddba438d93c8b3584cebdab8c1d6742970748c855283be75c9ec0c8a90d97",
     "null_cost_profile/csv": "5f270529faf8528d41cef1ca72047949699cabd134d3c025b0b19f5cd048e7e2",
     "null_cost_profile/stderr": "6c353019b6a9200251d6a5726e841e824d3204e5153ad60185597c942140f864",
+    "variance_delay_study/csv": "a9e6e76f0ede14e7beeb4f4964be1ade8b74069ea107de3617611143f01385c1",
+    "variance_delay_study/stderr": "96c2261a2c650a0099e1424f41b183704183383a75f9c5f46f284ce0fcc09af5",
+}
+# calibrations at ARL 100 on 50 replicates whose draws go through the
+# quantile searches (Poisson, binomial) and gammaincinv: the exit code and
+# the digest of the JSON written (exit 0) or of stderr (exit 4, when the
+# bisection steps over the band of an integral family)
+CALIBRATIONS = {
+    "poisson/unknown/up": (
+        ["--family", "poisson", "--theta0", "unknown", "--null-theta", "2", "--direction", "up",
+         "--seed", "2"],
+        "0:2b7293dd84686d2fa3f9384ebdc753a832142a4320cb1d3defb2dc6eea015aed",
+    ),
+    "gamma/known/both": (
+        ["--family", "gamma", "--shape", "2", "--theta0", "1", "--direction", "both", "--seed", "3"],
+        "0:102948be22458d54a556a1a01d1c5de9b81d82ab8f21c0daf20ad42c40b97268",
+    ),
+    "binomial/known/down": (
+        ["--family", "binomial", "--trials", "3", "--theta0", "0.4", "--direction", "down",
+         "--seed", "4"],
+        "0:58a2ebe3cda78c9417f662e759b3acc535847d05e0009d355ca60b547b9e201b",
+    ),
+    "binomial1/known/up": (
+        ["--family", "binomial", "--trials", "1", "--theta0", "0.5", "--direction", "up",
+         "--seed", "1"],
+        "4:edd216ce1b3c9e66e5d1270db5ba70741fbe0ad3ad66f47aa3031c034f66ee8a",
+    ),
 }
 # delay studies on 40 replicates of 150 steps, change at 60: each table has
 # detected, false-positive and censored rows
@@ -221,17 +248,40 @@ def test_calibrate_digest(tmp_path):
     assert _sha(out) == OTHER["calibrate"]
 
 
-def test_null_cost_profile_digest(tmp_path):
-    # the one caller of update, q_full and root pruning together: its
-    # per-step counts and its summary lines
+@pytest.mark.parametrize("case", list(CALIBRATIONS))
+def test_calibrate_family_digest(tmp_path, capsys, case):
+    flags, digest = CALIBRATIONS[case]
+    out = tmp_path / "calibration.json"
+    code = main(["calibrate", *flags, "--target-arl", "100", "--reps", "50", "--output", str(out)])
+    body = out.read_bytes() if code == 0 else capsys.readouterr().err.encode()
+    assert f"{code}:{hashlib.sha256(body).hexdigest()}" == digest
+
+
+def _run_script(tmp_path, script, args):
     root = Path(__file__).resolve().parent.parent
-    out = tmp_path / "cost.csv"
+    out = tmp_path / "out.csv"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "null_cost_profile.py"),
-         "--length", "2000", "--seed", "4", "-o", str(out)],
+        [sys.executable, str(root / "scripts" / script), *args, "-o", str(out)],
         capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert _sha(out) == OTHER["null_cost_profile/csv"]
-    assert hashlib.sha256(proc.stderr).hexdigest() == OTHER["null_cost_profile/stderr"]
+    return _sha(out), hashlib.sha256(proc.stderr).hexdigest()
+
+
+def test_null_cost_profile_digest(tmp_path):
+    # the one caller of update, q_full and root pruning together: its
+    # per-step counts and its summary lines
+    csv, err = _run_script(tmp_path, "null_cost_profile.py", ["--length", "2000", "--seed", "4"])
+    assert csv == OTHER["null_cost_profile/csv"]
+    assert err == OTHER["null_cost_profile/stderr"]
+
+
+def test_variance_delay_study_digest(tmp_path):
+    # the one caller that calibrates with null_spec and square_data, at the
+    # size tests/test_scripts.py runs it
+    csv, err = _run_script(tmp_path, "variance_delay_study.py", [
+        "--target-arl", "100", "--reps", "5", "--cal-reps", "50", "--change-at", "50",
+        "--length", "300", "--theta1", "2.0"])
+    assert csv == OTHER["variance_delay_study/csv"]
+    assert err == OTHER["variance_delay_study/stderr"]

@@ -208,19 +208,20 @@ def test_retained_count_grows_slowly():
 
 def test_same_pruning_across_identity_statistic_families():
     # all four families share g(x) = x, so the pruning comparisons are
-    # identical; drive the pruning layer with the g values directly (the
-    # gamma family's per-observation support check would reject the zeros
-    # a Poisson stream contains, but sums are all the pruning ever sees)
-    rng = np.random.default_rng(31)
-    data = rng.poisson(1.0, 200).astype(float)
+    # identical.  With theta0 unknown `update` also prices T A(S_T / T), and
+    # gamma's conjugate rejects a zero mean, so the data are Poisson draws
+    # plus one: integers with ties that every family accepts, whatever the
+    # seed
     specs = [GM, PO, FamilySpec.gamma(1.0), FamilySpec.binomial(50)]
-    states = [new_state(Direction.UP, None, sp) for sp in specs]
-    for x in data:
-        sets = []
-        for st_ in states:
-            update(st_, float(x))
-            sets.append([r.tau for r in st_.records])
-        assert all(s == sets[0] for s in sets[1:])
+    for seed in range(30, 37):
+        data = np.random.default_rng(seed).poisson(1.0, 200).astype(float) + 1.0
+        states = [new_state(Direction.UP, None, sp) for sp in specs]
+        for x in data.tolist():
+            sets = []
+            for sp, st_ in zip(specs, states):
+                update(st_, sp.suff(x))
+                sets.append([r.tau for r in st_.records])
+            assert all(s == sets[0] for s in sets[1:])
 
 
 def test_variance_model_prunes_like_mean_model_on_squares():

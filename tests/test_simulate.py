@@ -2,14 +2,15 @@
 
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-from streamcpd import FamilySpec, Scenario, generate
-from streamcpd.simulate import _open_uniforms
+from streamcpd import FamilySpec, Scenario, generate, simulate
+from streamcpd.simulate import _CHUNK, _draws, _open_uniforms
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -186,3 +187,82 @@ def test_poisson_draws_at_a_huge_mean_are_finite_and_fast():
     x = generate(Scenario(PO, 1e12, 1e12, 0, 1000, seed=3))
     assert time.perf_counter() - start < 1.0
     assert np.all(np.isfinite(x)) and np.all(np.abs(x - 1e12) <= 1e7)
+
+
+# ------------------------------------------------------------------
+# block draws: `_draws` maps a block of seeds' uniforms at once, and each
+# row is the one-seed stream bit for bit
+# ------------------------------------------------------------------
+
+
+_DRAW_FAMILIES = [(GM, 0.0, 1.5), (GV, 1.0, 3.0), (PO, 2.0, 4.0), (BI, 0.3, 0.6), (GA, 1.0, 2.0)]
+
+
+def _one_stream(scen):
+    # the draw procedure one seed at a time: its own uniforms, one inverse
+    # CDF call per segment
+    u = _uniforms(scen.length, scen.seed)
+    inv, cut = scen.spec.inverse_cdf, scen.change_at
+    if cut == 0:
+        return inv(scen.theta_pre, u)
+    return np.concatenate([inv(scen.theta_pre, u[:cut]), inv(scen.theta_post, u[cut:])])
+
+
+def _check_blocks(scen, seeds):
+    blocks = list(_draws(scen, seeds))
+    step = max(1, simulate._CHUNK // max(scen.length, 1))
+    assert [len(b) for b in blocks] == [min(step, len(seeds) - lo) for lo in range(0, len(seeds), step)]
+    rows = [row for b in blocks for row in b]
+    for seed, row in zip(seeds, rows, strict=True):
+        one = replace(scen, seed=seed)
+        assert row.dtype == np.float64
+        assert row.tobytes() == generate(one).tobytes() == _one_stream(one).tobytes()
+    return blocks
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 60])
+@pytest.mark.parametrize("where", ["none", "interior", "end"])
+@pytest.mark.parametrize("family", range(len(_DRAW_FAMILIES)),
+                         ids=[f[0].kind.value for f in _DRAW_FAMILIES])
+def test_block_rows_are_the_one_seed_streams(monkeypatch, family, where, length):
+    # a 50-value budget: 20 seeds of 7 draws span three blocks, and a
+    # 60-draw stream is a block of its own
+    monkeypatch.setattr(simulate, "_CHUNK", 50)
+    spec, pre, post = _DRAW_FAMILIES[family]
+    cut = {"none": 0, "interior": length // 2, "end": length}[where]
+    blocks = _check_blocks(Scenario(spec, pre, post, cut, length, seed=0), [3 * i + 1 for i in range(20)])
+    assert len(blocks) == {0: 1, 1: 1, 7: 3, 60: 20}[length]
+
+
+@pytest.mark.parametrize("length, reps", [(300, 60), (_CHUNK + 5, 2)])
+def test_block_rows_at_the_real_block_size(length, reps):
+    # reps x length past the budget: blocks of 54 rows, or one row a block
+    for spec, pre, post in _DRAW_FAMILIES[:2]:
+        blocks = _check_blocks(Scenario(spec, pre, post, length // 3, length, seed=0), list(range(reps)))
+        assert len(blocks) == 2
+
+
+def test_no_seeds_no_blocks():
+    assert list(_draws(Scenario(GM, 0.0, 0.0, 0, 10, seed=0), [])) == []
+
+
+@pytest.mark.parametrize("spec, theta_pre, theta_post, change_at, length", [
+    (FamilySpec.gamma(0.01), 1.0, 1.0, 0, 40),  # draws that underflow to 0
+    (FamilySpec.gamma(0.01), 1.0, 2.0, 20, 40),  # ... after the change only
+    (FamilySpec.gamma(1.0), 1.0, 1e308, 1, 2),  # draws that overflow after the change
+    (FamilySpec.gamma(1.0), 1e308, 1.0, 1, 2),  # ... before it
+    (PO, 1.0, 1e20, 2, 3),  # every row non-finite after the change
+], ids=["gamma-zero", "gamma-zero-post", "gamma-inf-post", "gamma-inf-pre", "poisson-nan-post"])
+def test_block_error_is_that_of_the_first_bad_seed(spec, theta_pre, theta_post, change_at, length):
+    scen = Scenario(spec, theta_pre, theta_post, change_at, length, seed=0)
+    seeds = list(range(40))
+    for i, seed in enumerate(seeds):
+        try:
+            generate(replace(scen, seed=seed))
+        except ValueError as e:
+            want = str(e)
+            break
+    assert i > 0 or spec is PO  # the first bad replicate is not the first row
+    with pytest.raises(ValueError) as info:
+        list(_draws(scen, seeds))
+    assert str(info.value) == want
