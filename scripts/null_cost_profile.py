@@ -43,6 +43,7 @@ def main() -> int:
     g_list = fam.suff_arr(stream).tolist()  # Python floats: numpy scalars cost about 1.4x per step
 
     st_root = new_state(Direction.UP, args.theta, fam)
+    roots: list[float] = []  # st_root's candidate roots, beside its records
     st_mean = new_state(Direction.UP, args.theta, fam)
     st_adap = new_state(Direction.UP, args.theta, fam)
 
@@ -64,7 +65,7 @@ def main() -> int:
 
     before = [(c.curves_evaluated_sum, c.transcendental_calls) for c in snap()]
     for i, g in enumerate(g_list):
-        update_root_pruning(st_root, g, fam, args.theta, args.root_tol, root_logs)
+        update_root_pruning(st_root, roots, g, fam, args.theta, args.root_tol, root_logs)
         q_full(st_root, fam)
         update(st_mean, g)
         q_full(st_mean, fam)

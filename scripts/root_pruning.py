@@ -6,7 +6,10 @@ sets match those of `streamcpd.update` (tested in
 tests/test_root_pruning.py) except where two segment means tie, as they do
 on integer data: the root comparison breaks such ties differently, so the
 sets can differ for some steps.  It exists only to measure what the mean
-comparison saves; `null_cost_profile.py` drives it.
+comparison saves; `null_cost_profile.py` drives it.  The state's records
+are the 5-tuples that `update` builds, so `q_full` and `check` run on it;
+the root of each candidate's segment curve sits at the same index of a
+list kept beside them.
 
 Import it with ``scripts/`` on ``sys.path``.
 """
@@ -14,11 +17,10 @@ Import it with ``scripts/`` on ``sys.path``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from streamcpd import FamilyKind, FamilySpec
 from streamcpd.counters import CounterSet
-from streamcpd.pruning import CurveRecord, PruneState
+from streamcpd.pruning import PruneState
 
 # kind -> (a'(theta), b'(theta)) as functions of (spec, theta)
 _DERIVATIVES = {
@@ -36,13 +38,6 @@ def alpha_prime(spec: FamilySpec, theta: float) -> float:
 
 def beta_prime(spec: FamilySpec, theta: float) -> float:
     return _DERIVATIVES[spec.kind][1](spec, theta)
-
-
-@dataclass(slots=True)
-class RootRecord(CurveRecord):
-    """A retained candidate with the root of its segment curve."""
-
-    root: float = math.nan
 
 
 def _curve_root(
@@ -151,6 +146,7 @@ def _curve_root(
 
 def update_root_pruning(
     state: PruneState,
+    roots: list[float],
     g: float,
     spec: FamilySpec,
     theta0: float,
@@ -161,10 +157,12 @@ def update_root_pruning(
 
     Retains the candidate sets of `update`, except where two segment means
     tie (integer data), which the root comparison breaks differently; known
-    pre-change parameter only.  A state must be driven by one update flavour
-    exclusively.  The state tallies its stored curves (so its `counters`
-    count merges and stored curves as `update`'s do); the root solves' log
-    calls go to ``root_counters``'s ``transcendental_calls``, when given.
+    pre-change parameter only.  ``roots`` holds the root of each record's
+    segment curve, index for index, and starts empty with the state; both
+    must be driven by this update exclusively.  The state tallies its
+    stored curves (so its `counters` count merges and stored curves as
+    `update`'s do); the root solves' log calls go to ``root_counters``'s
+    ``transcendental_calls``, when given.
     """
     if state.theta0 is None:
         raise ValueError("root pruning requires a known pre-change parameter")
@@ -172,8 +170,9 @@ def update_root_pruning(
         raise ValueError("tolerance must be positive")
     c = CounterSet() if root_counters is None else root_counters
     recs = state.records
-    # keep the cached means that `check` and `attach_bounds` read, as `update` does
-    recs.append(RootRecord(state.total_count, state.total_sum, left_mean=state.newest_mean))
+    # `update`'s record of the new candidate: the cached mean that `check` reads, no bound
+    recs.append((state.total_count, state.total_sum, state.newest_mean, math.nan, 0.0))
+    roots.append(math.nan)
     state.total_count += 1
     state.total_sum += g
     T = state.total_count
@@ -181,24 +180,22 @@ def update_root_pruning(
     sign = state.sign
     a0, b0, g0 = state.alpha0, state.beta0, state.g0
 
-    suf_root = _curve_root(
-        spec, theta0, a0, b0, g0, St - recs[-1].cum_sum, T - recs[-1].tau, sign, tolerance, c
-    )
+    tau, cs = recs[-1][:2]
+    suf_root = _curve_root(spec, theta0, a0, b0, g0, St - cs, T - tau, sign, tolerance, c)
     while len(recs) >= 2:
-        prev = recs[-2]
-        if (suf_root - prev.root) * sign > 0:
+        if (suf_root - roots[-2]) * sign > 0:
             break
         recs.pop()
-        last = recs[-1]
-        suf_root = _curve_root(
-            spec, theta0, a0, b0, g0, St - last.cum_sum, T - last.tau, sign, tolerance, c
-        )
+        roots.pop()
+        tau, cs = recs[-1][:2]
+        suf_root = _curve_root(spec, theta0, a0, b0, g0, St - cs, T - tau, sign, tolerance, c)
 
     if len(recs) == 1 and (suf_root - theta0) * sign <= 0:
         recs.pop()
+        roots.pop()
     elif recs:
-        recs[-1].root = suf_root
-        state.newest_mean = (St - recs[-1].cum_sum) / (T - recs[-1].tau)
+        roots[-1] = suf_root
+        state.newest_mean = (St - cs) / (T - tau)
 
     state.stored_sum += len(recs)
     return state

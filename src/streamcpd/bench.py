@@ -118,9 +118,9 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
     ``state``, which is left as it is.
 
     The tail-merge cascade and the null barrier of `pruning._absorb`, in
-    its expressions and order, on one stack of (tau, prefix sum, left mean)
-    of the stored candidates: a comparison divides once, a merge pops once.
-    Change both together.
+    its expressions and order, on one stack of the first three fields of
+    the stored candidates' records, (tau, cum_sum, left_mean): a comparison
+    divides once, a merge pops once.  Change both together.
     """
     end = len(g)
     pop = [end + 1] * end

@@ -1,11 +1,11 @@
 """Adaptive maxima checking with telescoped prefix bounds.
 
-Each retained candidate carries the running sum of the per-segment
-likelihood-ratio statistics accumulated strictly before it.  That sum plus
-the candidate's own suffix statistic upper-bounds the maximum over all
-earlier candidates, so under the null the check usually stops after
-evaluating a single curve; the bound only ever skips work, it never changes
-the threshold decision.
+Each retained candidate carries, as the last field of its record (see
+`pruning`), the running sum of the per-segment likelihood-ratio statistics
+accumulated strictly before it.  That sum plus the candidate's own suffix
+statistic upper-bounds the maximum over all earlier candidates, so under
+the null the check usually stops after evaluating a single curve; the
+bound only ever skips work, it never changes the threshold decision.
 """
 
 from __future__ import annotations
@@ -37,22 +37,17 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
     """Set the prefix bound of the candidate appended by the latest update.
 
     Call once after every `update`; `step_states` sets it in `_absorb`.  The
-    first candidate gets 0; a new candidate gets its predecessor's bound plus
-    the statistic of the segment between them.  Merged candidates need
-    nothing, and survivors keep their bounds (their prefix segments are frozen).
+    first candidate keeps 0.0; a new candidate's record is replaced by one
+    with its predecessor's bound plus the statistic of the segment between
+    them.  Merged candidates need nothing, and survivors keep their bounds
+    (their prefix segments are frozen).
     """
     recs = state.records
-    if not recs:
-        return
-    last = recs[-1]
-    if last.tau != state.total_count - 1:
-        return  # newest candidate merged away during the cascade
-    if len(recs) == 1:
-        last.m_bound = 0.0
-        return
-    prev = recs[-2]
-    last.m_bound = prev.m_bound + curve_m(state, spec, prev.tau, prev.cum_sum, last.tau, last.cum_sum,
-                                          last.pre_term, prev.pre_term, last.left_mean)
+    if len(recs) < 2 or recs[-1][0] != state.total_count - 1:
+        return  # the first bound is 0.0 as `update` stores it, or the newest merged away
+    pt, pc, _, ppre, pm = recs[-2]
+    lt, lc, left, pre, _ = recs[-1]
+    recs[-1] = (lt, lc, left, pre, pm + curve_m(state, spec, pt, pc, lt, lc, pre, ppre, left))
     state.bounded += 1
 
 
@@ -74,15 +69,15 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
     g_seg = state.newest_mean  # the newest candidate's, cached
     hit_tau = hit_stat = None
     evals, bound2 = 0, 0.0
-    for r in reversed(state.records):
-        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled, r.pre_term, g_seg)
+    for tau, cs, _, pre, bound in reversed(state.records):
+        m = curve_m(state, spec, tau, cs, T, St, pooled, pre, g_seg)
         g_seg = None
         evals += 1
-        bound2 = 2.0 * (m + r.m_bound)
+        bound2 = 2.0 * (m + bound)
         if bound2 < threshold:
             break
         if 2.0 * m >= threshold:
-            hit_tau, hit_stat = r.tau, 2.0 * m
+            hit_tau, hit_stat = tau, 2.0 * m
             break
     state.evaluated += evals
     if state.theta0 is None and evals:

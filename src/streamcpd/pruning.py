@@ -17,6 +17,13 @@ Merging only ever removes curves that are dominated on the relevant
 parameter half-line, so the maximum over retained candidates equals the
 maximum over all candidates; tests enforce this against the exhaustive
 oracle.
+
+Each retained candidate is a plain tuple that nothing mutates, (tau,
+cum_sum, left_mean, pre_term, m_bound): its time, the sum of g(x) over the
+first tau observations, the mean of the segment that ends at it (unused on
+the oldest), tau A(cum_sum / tau) with theta0 unknown, and the prefix bound
+of `maxima` (0.0 if none is attached).  The first three are the stack entry
+of `bench._pop_steps`.
 """
 
 from __future__ import annotations
@@ -32,30 +39,12 @@ _NAN = float("nan")
 
 
 @dataclass(slots=True)
-class CurveRecord:
-    """A retained candidate changepoint.
-
-    ``cum_sum`` snapshots the running sum of g(x) over the first ``tau``
-    observations (the prefix count equals ``tau`` itself).  ``m_bound`` is
-    the accumulated prefix bound used by the adaptive maxima check; the
-    caches ``left_mean``, the mean of the segment that ends at tau (unused
-    on the first record), and ``pre_term``, tau A(cum_sum / tau), are fixed.
-    """
-
-    tau: int
-    cum_sum: float
-    m_bound: float = 0.0
-    left_mean: float = field(default=_NAN, compare=False)
-    pre_term: float = field(default=_NAN, compare=False)
-
-
-@dataclass(slots=True)
 class PruneState:
     """Single-direction, single-stream pruning state.  One writer at a time."""
 
     direction: Direction
     theta0: float | None  # None = pre-change parameter unknown
-    records: list[CurveRecord] = field(default_factory=list)
+    records: list[tuple[int, float, float, float, float]] = field(default_factory=list)
     total_count: int = 0
     total_sum: float = 0.0
     # step tallies, from which `counters` derives the cost counters
@@ -107,12 +96,13 @@ def update(state: PruneState, g: float) -> PruneState:
 def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
     """Absorb g into states fed the same observations: price T A(S_T / T)
     once (theta0 unknown), then on each run the tail merge cascade from the
-    newest candidate (lt, lc), stored only if it survives, and the null
-    barrier when theta0 is known; amortized O(1); returns the curves stored.
-    A comparison divides once and reads the cached left mean; NaN merges.
-    Given ``spec``, a stored newest gets its prefix bound as from
-    `maxima.attach_bounds`.  `bench._pop_steps` mirrors cascade and barrier
-    expression for expression: change both.
+    newest candidate (lt, lc, left, pre), stored only if it survives, and
+    the null barrier when theta0 is known; amortized O(1); returns the
+    curves stored.  A comparison divides once and reads the cached left
+    mean; NaN merges.  Given ``spec``, a stored newest gets its prefix bound
+    as from `maxima.attach_bounds`, else 0.0.  `bench._pop_steps` mirrors
+    cascade and barrier expression for expression, on the first three
+    fields of the same records: change both.
     """
     first = states[0]
     T = first.total_count + 1
@@ -130,8 +120,7 @@ def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
             if (mean - left) * sign > 0:
                 break
             n -= 1
-            r = recs[n]
-            lt, lc, left, pre = r.tau, r.cum_sum, r.left_mean, r.pre_term
+            lt, lc, left, pre, _ = recs[n]
             mean = (St - lc) / (T - lt)
         if state.theta0 is not None and not n and (mean - state.g0) * sign <= 0:
             recs.clear()
@@ -142,12 +131,11 @@ def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
         if n < len(recs):  # merged: recs[n] is (lt, lc)
             del recs[n + 1:]
         elif spec is not None and n:  # recs[n - 1] is where the cascade stopped
-            prev = recs[n - 1]
-            m = curve_m(state, spec, prev.tau, prev.cum_sum, lt, lc, pre, prev.pre_term, left)
-            recs.append(CurveRecord(lt, lc, prev.m_bound + m, left, pre))
+            pt, pc, _, ppre, pm = recs[n - 1]
+            recs.append((lt, lc, left, pre, pm + curve_m(state, spec, pt, pc, lt, lc, pre, ppre, left)))
             state.bounded += 1
         else:
-            recs.append(CurveRecord(lt, lc, 0.0, left, pre))
+            recs.append((lt, lc, left, pre, 0.0))
     return stored
 
 
@@ -197,11 +185,11 @@ def q_full(state: PruneState, spec: FamilySpec) -> tuple[float, int | None]:
     T, St, pooled = state.total_count, state.total_sum, state.total_term
     best = 0.0
     best_tau: int | None = None
-    for r in recs:
-        m = curve_m(state, spec, r.tau, r.cum_sum, T, St, pooled, r.pre_term)
+    for tau, cs, _, pre, _ in recs:
+        m = curve_m(state, spec, tau, cs, T, St, pooled, pre)
         if m > best:
             best = m
-            best_tau = r.tau
+            best_tau = tau
     state.evaluated += len(recs)
     if state.theta0 is None:
         state.pooled += 1

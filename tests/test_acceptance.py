@@ -118,7 +118,7 @@ def test_a2_cross_family_pruning_identity():
         base = None
         for st in states:
             update(st, float(x))
-            taus = [r.tau for r in st.records]
+            taus = [tau for tau, *_ in st.records]
             if base is None:
                 base = taus
             elif taus != base:
@@ -143,7 +143,7 @@ def test_a3_variance_equals_mean_on_squares():
         for x in data:
             update(st_var, GV.suff(float(x)))
             update(st_mean, GM.suff(float(x) * float(x)))
-            if [r.tau for r in st_var.records] != [r.tau for r in st_mean.records]:
+            if [tau for tau, *_ in st_var.records] != [tau for tau, *_ in st_mean.records]:
                 mismatches += 1
     report("A3", mismatches == 0,
            f"500 steps, both directions, {mismatches} retained-set mismatches (exact equality)")
@@ -195,11 +195,11 @@ def test_a5_bound_and_decision_agreement():
             attach_bounds(state, spec)
             steps += 1
             T, St = state.total_count, state.total_sum
-            ms = [curve_m(state, spec, r.tau, r.cum_sum, T, St) for r in state.records]
+            ms = [curve_m(state, spec, tau, cs, T, St) for tau, cs, *_ in state.records]
             prefix_max = 0.0
-            for m, r in zip(ms, state.records):
+            for m, (*_, m_bound) in zip(ms, state.records):
                 prefix_max = max(prefix_max, m)
-                if 2.0 * (m + r.m_bound) < 2.0 * prefix_max:
+                if 2.0 * (m + m_bound) < 2.0 * prefix_max:
                     bound_violations += 1
             q = max(ms) if ms else 0.0
             for thr in (1.0, 6.0, 20.0):

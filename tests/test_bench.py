@@ -184,7 +184,7 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
             stored = set()
             for T, gi in enumerate(g, 1):
                 update(ref, gi)
-                stored.update((r.tau, T) for r in ref.records)
+                stored.update((tau, T) for tau, *_ in ref.records)
             pop = bench._pop_steps(st, g)
             for first_tau in (0, 1):
                 got = [(a, b) for _, _, _, tau, T in bench._block_pairs(pop[None], first_tau)
@@ -228,7 +228,7 @@ def test_pop_steps_are_those_of_update(family):
                     stored = set()
                     for T, gi in enumerate(g, 1):
                         update(ref, gi)
-                        now = {r.tau for r in ref.records}
+                        now = {tau for tau, *_ in ref.records}
                         gone = (stored | {T - 1}) - now
                         for tau in gone:
                             want[tau] = T

@@ -60,7 +60,7 @@ class Outside:
         self.merges += len_before + 1 - len(recs)
         self.stored += len(recs)
         self.barriers += not recs
-        if len(recs) >= 2 and recs[-1].tau == st.total_count - 1:
+        if len(recs) >= 2 and recs[-1][0] == st.total_count - 1:
             self.bounds += 1
             self.logs += self.cost * (1 if self.known else 3)
 

@@ -210,7 +210,7 @@ def test_rejected_value_leaves_state_unchanged():
             d.step(x)
 
         def snapshot():
-            return d.t, [(replace(st.counters), [(r.tau, r.cum_sum, r.m_bound) for r in st.records])
+            return d.t, [(replace(st.counters), [(tau, cs, m_bound) for tau, cs, _, _, m_bound in st.records])
                          for st in d.states]
 
         before = snapshot()

@@ -9,8 +9,9 @@ references, on random streams rather than fixed seeds.
 
 Streams reach magnitudes up to 1e308, so that prefix sums overflow and
 segment means become inf or NaN, and integer data repeats values, so that
-segment means tie.  Examples are derandomized: every run draws the same
-streams.
+segment means tie.  Examples are derandomized (`conftest.py`): every run
+draws the same streams.  `tests/test_step_kernel.py` draws from the same
+per-family strategies.
 """
 
 import math
@@ -47,7 +48,7 @@ FAMILIES = [
     (FamilySpec.binomial(7), st.integers(0, 7).map(float), [0.3, 1e-9]),
     (FamilySpec.gamma(2.0), st.floats(min_value=1e-300, max_value=1e308), [1.0, 1e300]),
 ]
-_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
@@ -125,7 +126,7 @@ def test_pop_steps_are_the_steps_that_drop_updates_candidates(g, theta0, directi
         stored = set()
         for T, gi in enumerate(g, 1):
             update(ref, gi)
-            now = {r.tau for r in ref.records}
+            now = {tau for tau, *_ in ref.records}
             for tau in (stored | {T - 1}) - now:
                 want[tau] = T
             stored = now

@@ -61,14 +61,15 @@ def test_curve_m_unknown_zero_at_tau_zero():
 
 def test_attach_single_record_bound_zero():
     state = advance(new_state(Direction.UP, 0.0, GM), GM, [0.5])
-    assert state.records[0].m_bound == 0.0
+    assert [m_bound for *_, m_bound in state.records] == [0.0]
 
 
 def test_attach_second_record_bound():
     # first segment {0.5} has statistic 0.5^2 / 2 = 0.125
     state = advance(new_state(Direction.UP, 0.0, GM), GM, [0.5, 1.0])
-    assert [r.tau for r in state.records] == [0, 1]
-    assert state.records[1].m_bound == pytest.approx(0.125, abs=1e-15)
+    (tau0, *_), (tau1, *_, m_bound) = state.records
+    assert (tau0, tau1) == (0, 1)
+    assert m_bound == pytest.approx(0.125, abs=1e-15)
 
 
 def test_bounds_nonnegative_nondecreasing():
@@ -78,7 +79,7 @@ def test_bounds_nonnegative_nondecreasing():
         for x in rng.normal(0.1, 1.0, 400):
             update(state, GM.suff(x))
             attach_bounds(state, GM)
-            bounds = [r.m_bound for r in state.records]
+            bounds = [m_bound for *_, m_bound in state.records]
             assert all(b >= 0.0 for b in bounds)
             assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -140,11 +141,11 @@ def test_bound_dominates_prefix_max_every_step(spec, theta0, _, gen, direction):
         update(state, spec.suff(x))
         attach_bounds(state, spec)
         T, St = state.total_count, state.total_sum
-        ms = [curve_m(state, spec, r.tau, r.cum_sum, T, St) for r in state.records]
+        ms = [curve_m(state, spec, tau, cs, T, St) for tau, cs, *_ in state.records]
         prefix_max = 0.0
-        for m, r in zip(ms, state.records):
+        for m, (*_, m_bound) in zip(ms, state.records):
             prefix_max = max(prefix_max, m)
-            assert 2.0 * (m + r.m_bound) >= 2.0 * prefix_max - 1e-9
+            assert 2.0 * (m + m_bound) >= 2.0 * prefix_max - 1e-9
 
 
 @pytest.mark.parametrize("spec,theta0,_,gen", PROP_CASES,

@@ -18,7 +18,6 @@ from streamcpd import (
     step_states,
     update,
 )
-from streamcpd.pruning import CurveRecord
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()
@@ -38,30 +37,26 @@ def check_invariants(state, spec, base, rel=1e-9):
     Returns the base for the next step's call.
     """
     recs = state.records
+    assert all(type(r) is tuple and len(r) == 5 for r in recs), "a record is a plain 5-tuple"
+    taus, sums, lefts, pres, _ = zip(*recs) if recs else ((),) * 5
     sign = state.sign
-    taus = [r.tau for r in recs]
-    assert taus == sorted(set(taus)), "candidate times must be strictly increasing"
+    assert list(taus) == sorted(set(taus)), "candidate times must be strictly increasing"
     if recs:
-        assert (recs[0].tau, recs[0].cum_sum) == base, "the oldest record starts where the state last emptied"
+        assert (taus[0], sums[0]) == base, "the oldest record starts where the state last emptied"
     else:
         base = (state.total_count, state.total_sum)
 
-    means = []
-    for i, r in enumerate(recs):
-        if i + 1 < len(recs):
-            nxt = recs[i + 1]
-            means.append((nxt.cum_sum - r.cum_sum) / (nxt.tau - r.tau))
-        else:
-            means.append((state.total_sum - r.cum_sum) / (state.total_count - r.tau))
+    ends = list(zip(taus[1:], sums[1:])) + [(state.total_count, state.total_sum)]
+    means = [(end_sum - cs) / (end - tau) for tau, cs, (end, end_sum) in zip(taus, sums, ends)]
     for a, b in zip(means, means[1:]):
         assert (b - a) * sign > 0, f"segment means not strictly monotone: {means}"
     # a record's left mean is the mean of the segment that ends at it
-    assert [bits(r.left_mean) for r in recs[1:]] == [bits(m) for m in means[:-1]]
+    assert [bits(left) for left in lefts[1:]] == [bits(m) for m in means[:-1]]
     if recs:
         assert bits(state.newest_mean) == bits(means[-1])
     if state.theta0 is None:
-        assert [bits(r.pre_term) for r in recs if r.tau > 0] == [
-            bits(r.tau * spec.conjugate(r.cum_sum / r.tau)) for r in recs if r.tau > 0]
+        assert [bits(pre) for tau, pre in zip(taus, pres) if tau > 0] == [
+            bits(tau * spec.conjugate(cs / tau)) for tau, cs in zip(taus, sums) if tau > 0]
         T, St = state.total_count, state.total_sum
         assert bits(state.total_term) == bits(T * spec.conjugate(St / T))
     if state.theta0 is not None:
@@ -69,12 +64,14 @@ def check_invariants(state, spec, base, rel=1e-9):
             assert (m - state.g0) * sign > 0, f"segment mean {m} behind null mean {state.g0}"
 
     if recs:
-        total = base[1] + sum(
-            (recs[i + 1].cum_sum if i + 1 < len(recs) else state.total_sum) - r.cum_sum
-            for i, r in enumerate(recs)
-        )
+        total = base[1] + sum(end_sum - cs for cs, (_, end_sum) in zip(sums, ends))
         assert math.isclose(total, state.total_sum, rel_tol=rel, abs_tol=1e-12), "telescoping broken"
     return base
+
+
+def keys(state):
+    """Each record's (tau, cum_sum, m_bound), the fields that fix it."""
+    return [(tau, cs, m_bound) for tau, cs, _, _, m_bound in state.records]
 
 
 def feed(state, spec, xs):
@@ -90,7 +87,7 @@ def feed(state, spec, xs):
 
 def test_update_merges_into_single_record():
     st_ = feed(new_state(Direction.UP, 0.0, GM), GM, [1.0, 0.5])
-    assert st_.records == [CurveRecord(0, 0.0)]
+    assert keys(st_) == [(0, 0.0, 0.0)]
     assert st_.total_sum == 1.5 and st_.total_count == 2
     assert st_.total_sum / st_.total_count == 0.75
 
@@ -101,12 +98,12 @@ def test_update_null_drop():
     assert q_full(st_, GM) == (0.0, None)
     # the next candidate starts where the state emptied
     update(st_, GM.suff(2.0))
-    assert st_.records == [CurveRecord(3, -0.5)]
+    assert keys(st_) == [(3, -0.5, 0.0)]
 
 
 def test_update_keeps_increasing_means():
     st_ = feed(new_state(Direction.UP, 0.0, GM), GM, [0.5, 1.0])
-    assert st_.records == [CurveRecord(0, 0.0), CurveRecord(1, 0.5)]
+    assert keys(st_) == [(0, 0.0, 0.0), (1, 0.5, 0.0)]
     assert st_.total_sum == 1.5 and st_.total_count == 2  # segment means 0.5 and 1.0
 
 
@@ -220,7 +217,7 @@ def test_same_pruning_across_identity_statistic_families():
             sets = []
             for sp, st_ in zip(specs, states):
                 update(st_, sp.suff(x))
-                sets.append([r.tau for r in st_.records])
+                sets.append([tau for tau, *_ in st_.records])
             assert all(s == sets[0] for s in sets[1:])
 
 
@@ -232,4 +229,4 @@ def test_variance_model_prunes_like_mean_model_on_squares():
     for v in x:
         update(st_var, GV.suff(v))
         update(st_mean, GM.suff(v * v))
-        assert [r.tau for r in st_var.records] == [r.tau for r in st_mean.records]
+        assert [tau for tau, *_ in st_var.records] == [tau for tau, *_ in st_mean.records]

@@ -40,9 +40,10 @@ def test_alpha_beta_primes_match_finite_difference(spec):
 
 
 def test_root_pruning_gaussian_singleton_root():
-    state = new_state(Direction.UP, 0.0, GM)
-    update_root_pruning(state, 1.0, GM, 0.0, 1e-12)
-    assert state.records[-1].root == pytest.approx(2.0, abs=1e-9)
+    state, roots = new_state(Direction.UP, 0.0, GM), []
+    update_root_pruning(state, roots, 1.0, GM, 0.0, 1e-12)
+    assert len(roots) == len(state.records) == 1
+    assert roots[-1] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_root_pruning_poisson_root_value():
@@ -50,11 +51,11 @@ def test_root_pruning_poisson_root_value():
     # independent bracketing solve
     want = brentq(lambda t: 4 * math.log(t) - 2 * (t - 1), 1.5, 20.0, xtol=1e-13)
     assert want == pytest.approx(3.512862417252341, abs=1e-9)
-    state = new_state(Direction.UP, 1.0, PO)
-    update_root_pruning(state, 3.0, PO, 1.0, 1e-12)
-    update_root_pruning(state, 1.0, PO, 1.0, 1e-12)  # merges into {S=4, n=2}
-    assert len(state.records) == 1
-    assert state.records[-1].root == pytest.approx(want, abs=1e-7)
+    state, roots = new_state(Direction.UP, 1.0, PO), []
+    update_root_pruning(state, roots, 3.0, PO, 1.0, 1e-12)
+    update_root_pruning(state, roots, 1.0, PO, 1.0, 1e-12)  # merges into {S=4, n=2}
+    assert len(state.records) == len(roots) == 1
+    assert roots[-1] == pytest.approx(want, abs=1e-7)
 
 
 @pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
@@ -62,13 +63,15 @@ def test_root_pruning_identical_tau_sets(direction):
     rng = np.random.default_rng(77)
     data = rng.normal(0.0, 1.0, 1000)
     st_mean = new_state(direction, 0.0, GM)
-    st_root = new_state(direction, 0.0, GM)
+    st_root, roots = new_state(direction, 0.0, GM), []
     for x in data:
         update(st_mean, GM.suff(x))
-        update_root_pruning(st_root, GM.suff(x), GM, 0.0, 1e-11)
-        assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
+        update_root_pruning(st_root, roots, GM.suff(x), GM, 0.0, 1e-11)
+        assert [tau for tau, *_ in st_mean.records] == [tau for tau, *_ in st_root.records]
+        assert len(roots) == len(st_root.records)
         # the cached means that `check` reads, and so its outcome
-        assert [r.left_mean for r in st_mean.records[1:]] == [r.left_mean for r in st_root.records[1:]]
+        assert ([left for _, _, left, _, _ in st_mean.records[1:]]
+                == [left for _, _, left, _, _ in st_root.records[1:]])
         if st_mean.records:
             assert st_mean.newest_mean == st_root.newest_mean
         assert check(st_mean, GM, 5.0)[:4] == check(st_root, GM, 5.0)[:4]
@@ -78,14 +81,14 @@ def test_root_pruning_counts_transcendentals():
     rng = np.random.default_rng(78)
     data = rng.poisson(1.0, 300).astype(float)
     st_mean = new_state(Direction.UP, 1.0, PO)
-    st_root = new_state(Direction.UP, 1.0, PO)
+    st_root, roots = new_state(Direction.UP, 1.0, PO), []
     root_logs = CounterSet()
     stored = 0
     for x in data:
         update(st_mean, PO.suff(x))
-        update_root_pruning(st_root, PO.suff(x), PO, 1.0, 1e-11, root_logs)
+        update_root_pruning(st_root, roots, PO.suff(x), PO, 1.0, 1e-11, root_logs)
         stored += len(st_root.records)
-    assert [r.tau for r in st_mean.records] == [r.tau for r in st_root.records]
+    assert [tau for tau, *_ in st_mean.records] == [tau for tau, *_ in st_root.records]
     assert st_mean.counters.transcendental_calls == 0  # mean pruning never takes logs
     assert root_logs.transcendental_calls > 2 * st_root.total_count
     # the root solves' logs are counted apart; the state counts what it stores
@@ -95,4 +98,4 @@ def test_root_pruning_counts_transcendentals():
 def test_root_pruning_requires_known_theta0():
     state = new_state(Direction.UP, None, GM)
     with pytest.raises(ValueError):
-        update_root_pruning(state, 1.0, GM, 0.0, 1e-9)
+        update_root_pruning(state, [], 1.0, GM, 0.0, 1e-9)

@@ -4,10 +4,13 @@
 `oracle.layered_step_states` runs the public `update`, `attach_bounds` and
 `check` they replace.  Both are driven on twin states, and after every step
 the detection, the curves evaluated and stored and the whole state must be
-equal bit for bit: every record's (tau, cum_sum, m_bound) and cached
-(left_mean, pre_term), the totals, the state's cached (newest_mean,
-total_term) and the four tallies the counters derive from.  Both paths share that
-derivation; `tests/test_counters.py` checks the counts from outside.
+equal bit for bit: every field of every record, (tau, cum_sum, left_mean,
+pre_term, m_bound), the totals, the state's cached (newest_mean,
+total_term) and the four tallies the counters derive from.  Both paths
+share that derivation; `tests/test_counters.py` checks the counts from
+outside.  The drawn streams are those of `tests/test_differential.py`:
+magnitudes up to 1e308, so that prefix sums overflow and segment means
+become inf or NaN, and integers past 2**53 with ties.
 """
 
 import struct
@@ -23,9 +26,11 @@ from streamcpd import (
     DetectorConfig,
     FamilySpec,
     Scenario,
+    StreamCpdError,
     generate,
     step_states,
 )
+from test_differential import FAMILIES as DRAWN_FAMILIES
 
 # family, pre-change theta, post-change thetas (above, below)
 FAMILIES = [
@@ -46,8 +51,7 @@ def snapshot(states):
     return [
         (s.total_count, bits(s.total_sum), bits(s.newest_mean), bits(s.total_term),
          (s.stored_sum, s.bounded, s.evaluated, s.pooled),
-         [(r.tau, bits(r.cum_sum), bits(r.m_bound), bits(r.left_mean), bits(r.pre_term))
-          for r in s.records])
+         [(tau, bits(cs), bits(left), bits(pre), bits(m_bound)) for tau, cs, left, pre, m_bound in s.records])
         for s in states
     ]
 
@@ -58,18 +62,31 @@ def outcome(detection, evals, stored):
     return (detection.t_detect, detection.tau_low, bits(detection.stat), detection.direction_hit), evals, stored
 
 
-def run_both(spec, theta0, direction, threshold, data):
+def stepped(step, states, spec, g, threshold, raises):
+    """``step``'s outcome, or the class and message of the error it raised
+    if that is one of ``raises``."""
+    try:
+        return outcome(*step(states, spec, g, threshold))
+    except raises as e:
+        return type(e), str(e)
+
+
+def run_both(spec, theta0, direction, threshold, data, raises=()):
     """Feed ``data`` to the kernel and the reference on twin states,
-    comparing after every step; returns the detections seen."""
+    comparing after every step; returns the detections seen.  An error of
+    a class in ``raises`` must come from both at one step, with one
+    message and equal states, and ends the run."""
     fused = Detector(DetectorConfig(spec, theta0, 1.0, direction)).states
     layered = Detector(DetectorConfig(spec, theta0, 1.0, direction)).states
     hits = 0
     for x in data:
         g = spec.suff(x)
-        got = outcome(*step_states(fused, spec, g, threshold))
-        want = outcome(*layered_step_states(layered, spec, g, threshold))
+        got, want = (stepped(step, states, spec, g, threshold, raises)
+                     for step, states in ((step_states, fused), (layered_step_states, layered)))
         assert got == want
         assert snapshot(fused) == snapshot(layered)
+        if len(got) == 2:  # both raised
+            break
         hits += got[0] is not None
     return hits
 
@@ -115,26 +132,15 @@ def test_kernel_equals_layers_on_overflowing_means(theta0, direction, threshold)
         run_both(FamilySpec.gauss_mean(), theta0, direction, threshold, xs)
 
 
-OBSERVATIONS = {
-    "gauss-mean": st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
-                            st.floats(-50, 50, allow_nan=False)),
-    "gauss-var": st.builds(lambda s, x: s * x, st.sampled_from([-1.0, 1.0]),
-                           st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 50))),
-    "poisson": st.integers(0, 12).map(float),
-    "binomial": st.integers(0, 4).map(float),
-    "gamma": st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 50)),
-}
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_kernel_equals_layers_on_drawn_streams(data):
-    spec, theta_pre, _ = data.draw(st.sampled_from(FAMILIES))
-    theta0 = data.draw(st.sampled_from([theta_pre, None]))
+    spec, obs, theta0s = data.draw(st.sampled_from(DRAWN_FAMILIES))
+    theta0 = data.draw(st.sampled_from(theta0s + [None]))
     direction = data.draw(st.sampled_from(DIRECTIONS))
-    threshold = data.draw(st.one_of(st.none(), st.floats(0.05, 30)))
-    xs = data.draw(st.lists(OBSERVATIONS[spec.kind.value], min_size=1, max_size=60))
-    run_both(spec, theta0, direction, threshold, xs)
+    threshold = data.draw(st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    xs = data.draw(st.lists(obs, min_size=1, max_size=60))
+    run_both(spec, theta0, direction, threshold, xs, raises=StreamCpdError)
 
 
 DEGENERATE = [
