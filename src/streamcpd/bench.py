@@ -118,28 +118,31 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
     ``state``, which is left as it is.
 
     The tail-merge cascade and the null barrier of `pruning._absorb`, in
-    its expressions and order, on one stack of the first three fields of
-    the stored candidates' records, (tau, cum_sum, left_mean): a comparison
-    divides once, a merge pops once.  Change both together.
+    its order, on one stack of the first three fields of the stored
+    candidates' records, (tau, cum_sum, left_mean); a merge pops once.  The
+    pass is one-sided: a down state runs it on -g and -g0, whose prefix
+    sums and means are the up ones negated bit for bit (rounding to nearest
+    is symmetric; only a zero may change sign, and zeros compare equal), so
+    each comparison decides as `_absorb`'s.  Neumaier (hi, lo) sums keep
+    this.  g0 is NaN with theta0 unknown, which no barrier passes.  Change
+    both together.
     """
     end = len(g)
     pop = [end + 1] * end
-    sign = state.sign
     g0 = state.g0
-    known = state.theta0 is not None
+    if state.sign < 0:
+        g, g0 = [-x for x in g], -g0
     stack: list[tuple[int, float, float]] = []  # the stored candidates but the newest, (lt, lc, left)
     St = mean = 0.0
     for T, gi in enumerate(g, 1):
         lt, lc, left = T - 1, St, mean
         St += gi
-        mean = (St - lc) / (T - lt)
-        while stack:
-            if (mean - left) * sign > 0:
-                break
+        mean = St - lc  # the newest segment spans one step
+        while stack and not mean > left:
             pop[lt] = T
             lt, lc, left = stack.pop()
             mean = (St - lc) / (T - lt)
-        if known and not stack and (mean - g0) * sign <= 0:
+        if not stack and mean - g0 <= 0:  # not mean <= g0: g0 may be inf
             pop[lt] = T
         else:
             stack.append((lt, lc, left))
@@ -184,8 +187,9 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     accumulated left to right as `update` does.  With theta0 unknown
     P[i, T] is T A(S[i, T] / T) as priced, with its bound dP[i, T]
     (`_prefix_terms`): the pooled term at step T and the pre-change term of
-    the candidate at tau = T; with theta0 known both are None.  Row r of ``pop`` is `_pop_steps` of its stream and direction,
-    and sign[r] its direction's sign.
+    the candidate at tau = T; with theta0 known both are None.  Row r of
+    ``pop`` is `_pop_steps` of its stream and direction, which negates a
+    down row's copy of g, and sign[r] its direction's sign.
     """
     spec = config.spec
     states = Detector(config).states

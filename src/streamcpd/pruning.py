@@ -98,11 +98,12 @@ def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
     once (theta0 unknown), then on each run the tail merge cascade from the
     newest candidate (lt, lc, left, pre), stored only if it survives, and
     the null barrier when theta0 is known; amortized O(1); returns the
-    curves stored.  A comparison divides once and reads the cached left
-    mean; NaN merges.  Given ``spec``, a stored newest gets its prefix bound
-    as from `maxima.attach_bounds`, else 0.0.  `bench._pop_steps` mirrors
-    cascade and barrier expression for expression, on the first three
-    fields of the same records: change both.
+    curves stored.  A comparison divides at most once and reads the cached
+    left mean; NaN merges.  Given ``spec``, a stored newest gets its prefix
+    bound as from `maxima.attach_bounds`, else 0.0.  `bench._pop_steps`
+    runs cascade and barrier on the first three fields of the same records,
+    in their up form: a down state there sees -g, and a comparison times
+    sign here is the same comparison on negated sums.  Change both.
     """
     first = states[0]
     T = first.total_count + 1
@@ -115,14 +116,14 @@ def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
         state.total_count, state.total_sum, state.total_term = T, St, term
         sign = state.sign
         n = len(recs)  # recs[:n] are the candidates older than (lt, lc)
-        mean = (St - lc) / (T - lt)
+        mean = St - lc  # the newest segment spans one step
         while n:
             if (mean - left) * sign > 0:
                 break
             n -= 1
             lt, lc, left, pre, _ = recs[n]
             mean = (St - lc) / (T - lt)
-        if state.theta0 is not None and not n and (mean - state.g0) * sign <= 0:
+        if not n and (mean - state.g0) * sign <= 0:  # g0 is NaN with theta0 unknown
             recs.clear()
             continue
         state.newest_mean = mean

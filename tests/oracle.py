@@ -35,6 +35,9 @@ class OracleResult:
     per_tau: list[tuple[int, float]]
 
 
+_STEPS = 64  # steps per `_all_m` call in `naive_q_path`
+
+
 def _prefix_sums(spec: FamilySpec, data) -> np.ndarray:
     g = np.array([spec.suff(x) for x in data], dtype=float)
     out = np.zeros(len(g) + 1)
@@ -49,32 +52,35 @@ def _masked_conjugate(spec: FamilySpec, g: np.ndarray, mask: np.ndarray) -> np.n
     return np.where(mask, conjugate_arr(spec, safe), 0.0)
 
 
-def _all_m(spec: FamilySpec, P: np.ndarray, T: int, known, sign: int):
-    """Per-candidate statistics (taus, m) for the window of the first T points.
+def _all_m(spec: FamilySpec, P: np.ndarray, ts: np.ndarray, known, sign: int):
+    """Per-candidate statistics (taus, m) for the windows of the first t
+    points, t in the ascending ``ts``: m[i, j] is the statistic of a change
+    at taus[j] after ts[i] points, or -inf where taus[j] >= ts[i] is not a
+    candidate yet.
 
     ``known`` is the precomputed (alpha0, beta0, g0) triple, or None for the
-    pre-change-unknown case.
+    pre-change-unknown case, whose candidates start at 1.  A window's values
+    do not depend on the other windows of the call, except that where one
+    mean sends `FamilySpec.conjugate_arr` to its scalar form (outside the
+    family's range, or an overflow), every mean of the call goes with it.
     """
-    if known is not None:
-        taus = np.arange(0, T)
-        n_suf = T - taus
-        g_suf = (P[T] - P[taus]) / n_suf
-        a0, b0, g0 = known
-        mask = (g_suf - g0) * sign > 0
-        m = np.where(mask, n_suf * (_masked_conjugate(spec, g_suf, mask) - (a0 * g_suf - b0)), 0.0)
-        return taus, np.maximum(m, 0.0)
-    taus = np.arange(1, T)
-    if T < 2:
-        return taus, np.zeros(0)
-    n_suf = T - taus
-    g_pre = P[taus] / taus
+    T = ts[:, None]
+    taus = np.arange(0 if known is not None else 1, ts[-1])
+    valid = taus < T
+    n_suf = np.where(valid, T - taus, 1)
     g_suf = (P[T] - P[taus]) / n_suf
-    mask = (g_suf - g_pre) * sign > 0
-    a_pre = _masked_conjugate(spec, g_pre, mask)
-    a_suf = _masked_conjugate(spec, g_suf, mask)
-    a_all = conjugate_arr(spec, np.array([P[T] / T]))[0] if mask.any() else 0.0
-    m = np.where(mask, taus * a_pre + n_suf * a_suf - T * a_all, 0.0)
-    return taus, np.maximum(m, 0.0)
+    if known is not None:
+        a0, b0, g0 = known
+        mask = valid & ((g_suf - g0) * sign > 0)
+        m = np.where(mask, n_suf * (_masked_conjugate(spec, g_suf, mask) - (a0 * g_suf - b0)), 0.0)
+    else:
+        g_pre = P[taus] / taus
+        mask = valid & ((g_suf - g_pre) * sign > 0)
+        a_pre = _masked_conjugate(spec, g_pre, mask)
+        a_suf = _masked_conjugate(spec, g_suf, mask)
+        a_all = _masked_conjugate(spec, P[T] / T, mask.any(axis=1, keepdims=True))
+        m = np.where(mask, taus * a_pre + n_suf * a_suf - T * a_all, 0.0)
+    return taus, np.where(valid, np.maximum(m, 0.0), -np.inf)
 
 
 def _known_triple(spec: FamilySpec, theta0: float | None):
@@ -100,7 +106,7 @@ def naive_q(
         raise ValueError("naive_q requires non-empty data")
     P = _prefix_sums(spec, data)
     T = len(data)
-    taus, m = _all_m(spec, P, T, _known_triple(spec, theta0), direction.sign)
+    taus, (m,) = _all_m(spec, P, np.array([T]), _known_triple(spec, theta0), direction.sign)
     if len(m) == 0:
         return OracleResult(q=0.0, tau_hat=None, per_tau=[])
     best = int(np.argmax(m))
@@ -119,25 +125,27 @@ def naive_q_path(
     """`naive_q` evaluated after every step of the stream.
 
     Returns (q, tau_hat) arrays of length T; tau_hat is -1 where q is zero.
-    Still exhaustive at every step, just without per-step re-parsing, so
-    equivalence tests over whole streams stay affordable.
+    Still exhaustive at every step, but priced `_STEPS` steps per `_all_m`
+    call and without per-step re-parsing, so equivalence tests over whole
+    streams stay affordable.  Each step keeps `naive_q`'s earliest argmax.
     """
     if len(data) == 0:
         raise ValueError("naive_q_path requires non-empty data")
     P = _prefix_sums(spec, data)
     T = len(data)
     known = _known_triple(spec, theta0)
-    sign = direction.sign
     qs = np.zeros(T)
     taus_hat = np.full(T, -1, dtype=np.int64)
-    for t in range(1, T + 1):
-        taus, m = _all_m(spec, P, t, known, sign)
-        if len(m) == 0:
+    for lo in range(1, T + 1, _STEPS):
+        ts = np.arange(lo, min(lo + _STEPS, T + 1))
+        taus, m = _all_m(spec, P, ts, known, direction.sign)
+        if len(taus) == 0:
             continue
-        best = int(np.argmax(m))
-        qs[t - 1] = m[best]
-        if m[best] > 0:
-            taus_hat[t - 1] = taus[best]
+        best = np.argmax(m, axis=1)
+        q = m[np.arange(len(ts)), best]
+        has = ts > taus[0]  # the steps with a candidate
+        qs[ts - 1] = np.where(has, q, 0.0)
+        taus_hat[ts - 1] = np.where(has & (q > 0), taus[best], -1)
     return qs, taus_hat
 
 

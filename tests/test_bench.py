@@ -235,7 +235,11 @@ def test_pop_steps_are_those_of_update(family):
                         longest_cascade = max(longest_cascade, len(gone))
                         barriers += known and not now
                         stored = now
+                    before = np.array(g).tobytes()
                     got = bench._pop_steps(st, g)
+                    # a down row reads -g from a copy: g, the next row's
+                    # input, keeps every bit, signs of zero included
+                    assert np.array(g).tobytes() == before
                     assert got.dtype == np.int64 and got.tolist() == want
                     assert np.array_equal(bench._pop_steps(st, g), got)
                     assert st.records == [] and st.counters == CounterSet()
@@ -256,6 +260,27 @@ def test_pop_steps_merge_on_nan_comparisons(theta0, direction):
     }[theta0, direction]
     st = Detector(DetectorConfig(GM, theta0, 1.0, direction)).states[0]
     assert [bench._pop_steps(st, g).tolist() for g in NAN_STREAMS] == list(want)
+
+
+def test_pop_steps_barrier_at_an_infinite_null_mean():
+    # gamma(2) at theta0 = 1e308 has g0 = 2 theta0 = inf.  Once the prefix
+    # sum overflows, a segment mean inf is not at or behind g0 in
+    # `_absorb`'s barrier (inf - inf is NaN), so the candidate stays; the
+    # shorter test inf <= g0 would drop it in both directions
+    cfg = DetectorConfig(FamilySpec.gamma(2.0), 1e308, 1.0, "both")
+    g = [1.0, 1e308, 1e308, 1e308, 1.0]
+    want = []
+    for ref in Detector(cfg).states:
+        pops, stored = [len(g) + 1] * len(g), set()
+        for T, gi in enumerate(g, 1):
+            update(ref, gi)
+            now = {tau for tau, *_ in ref.records}
+            for tau in (stored | {T - 1}) - now:
+                pops[tau] = T
+            stored = now
+        want.append(pops)
+    assert want == [[1, 2, 6, 4, 5], [6, 2, 3, 4, 5]]
+    assert [bench._pop_steps(st, g).tolist() for st in Detector(cfg).states] == want
 
 
 def test_running_max_raises_on_a_degenerate_segment_like_scalar():

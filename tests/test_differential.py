@@ -117,7 +117,7 @@ def test_nan_segment_mean_raises_in_both_paths():
 @_SETTINGS
 @given(st.one_of(_HUGE, _INTEGERS).flatmap(lambda x: st.lists(
     st.one_of(st.just(x), _HUGE, _INTEGERS), min_size=0, max_size=40)),
-       st.sampled_from([0.0, 1.0, -1e300, None]), st.sampled_from(["up", "down", "both"]))
+       st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1e300, 1e308, None]), st.sampled_from(["up", "down", "both"]))
 def test_pop_steps_are_the_steps_that_drop_updates_candidates(g, theta0, direction):
     # the cascade sees only sums, so gauss-mean states carry every stream
     config = DetectorConfig(GM, theta0, 1.0, direction)
