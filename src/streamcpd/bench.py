@@ -56,8 +56,9 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
     with `FamilySpec.conjugate_arr` for the conjugates.  ``state`` gives
     theta0 and the constants derived from it, ``sign`` the direction of
     each pair.  With theta0 unknown every tau must be positive, and ``pre``
-    holds, per pair, tau A(cum_sum / tau) and T A(St / T) as priced (the
-    i A(S_i / i) of `_prefix_terms`) and their bounds.
+    is (P, dP, i_tau, i_T): the i A(S_i / i) of `_prefix_terms` as priced
+    and their bounds, and each pair's indices into them of tau A(cum_sum /
+    tau) and T A(St / T), read only at the pairs past the pre-change mean.
 
     The bound follows `FamilySpec.conjugate_arr`'s error model: the
     conjugates' bounds enter times the exact factors that scale them and
@@ -85,7 +86,9 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
         d = n * (d * (1.0 + 8.0 * e) + 4.0 * e * _TINY) + 5.0 * e * np.abs(v) if d.any() else None
     else:
         ok = np.flatnonzero((g_seg - cum_sum / tau) * sign > 0)
-        b, db, pooled, dpooled = (a[ok] for a in pre)
+        P, dP, it, iT = pre
+        it, iT = it[ok], iT[ok]
+        b, db, pooled, dpooled = P[it], dP[it], P[iT], dP[iT]
         n = n[ok]
         a, d = spec.conjugate_arr(g_seg[ok])
         y = n * a
@@ -112,10 +115,10 @@ def _prefix_terms(spec, S, i):
     return p, d
 
 
-def _pop_steps(state, g: list[float]) -> np.ndarray:
-    """Entry tau is the step whose update removes candidate tau, born at
-    step tau + 1, or ``len(g) + 1`` if it stays, for ``g`` fed to the empty
-    ``state``, which is left as it is.
+def _pop_steps(state, g: list[float]) -> list[int]:
+    """A list whose entry tau is the step whose update removes candidate
+    tau, born at step tau + 1, or ``len(g) + 1`` if it stays, for ``g`` fed
+    to the empty ``state``, which is left as it is.
 
     The tail-merge cascade and the null barrier of `pruning._absorb`, in
     its order, on one stack of the first three fields of the stored
@@ -146,34 +149,38 @@ def _pop_steps(state, g: list[float]) -> np.ndarray:
             pop[lt] = T
         else:
             stack.append((lt, lc, left))
-    return np.array(pop, dtype=np.int64)
+    return pop
 
 
-def _block_pairs(pop: np.ndarray, first_tau: int):
+def _block_pairs(pop: np.ndarray, first_tau: int, live: np.ndarray | None = None):
     """Every (row, candidate tau >= ``first_tau``, step T) with tau stored
     in the row after step T, a block of steps at a time: (lo, hi, row, tau,
-    T) for the steps lo to hi - 1, the last three as arrays.
+    T) for the steps lo to hi - 1, the last three as arrays, in birth order.
 
     Row r of the 2-D ``pop`` is `_pop_steps`'s output for one stream and
     direction: candidate tau is stored after steps tau + 1 to
-    pop[r, tau] - 1.  A block spans max(1, `_BLOCK` // rows) steps.
+    pop[r, tau] - 1.  A block spans max(1, `_BLOCK` // rows) steps.  The
+    candidate tau of row r has the id tau * rows + r, its index in
+    ``pop.T.ravel()``, the log in birth order.  ``live``, a bool per row, is
+    read at the start of each block: a row cleared there loses its
+    candidates, carried or newborn, and yields no pair from then on.
     """
     rows, end = pop.shape
     step = max(1, _BLOCK // max(rows, 1))
-    every = np.arange(rows)
-    # (row, tau) of the candidates born before the block, stored at its start
-    c_row = c_tau = np.zeros(0, dtype=np.int64)
+    gone_at = pop.T.ravel()
+    carry = np.zeros(0, dtype=np.int64)  # ids of the candidates born before the block, stored at its start
     for lo in range(1, end + 1, step):
         hi = min(lo + step, end + 1)  # steps lo .. hi - 1
-        born = np.arange(max(lo - 1, first_tau), hi - 1)
-        row = np.concatenate([c_row, np.repeat(every, len(born))])
-        tau = np.concatenate([c_tau, np.tile(born, rows)])
-        gone = pop[row, tau]
-        first = np.maximum(tau + 1, lo)
+        ids = np.concatenate([carry, np.arange(max(lo - 1, first_tau) * rows, (hi - 1) * rows)])
+        if live is not None:
+            ids = ids[live[ids % rows]]
+        gone = gone_at[ids]
+        first = np.maximum(ids // rows + 1, lo)
         cnt = np.maximum(np.minimum(gone, hi) - first, 0)
-        c_row, c_tau = row[gone > hi], tau[gone > hi]
+        carry = ids[gone > hi]
         off = np.repeat(np.cumsum(cnt) - cnt - first, cnt)
-        yield lo, hi, np.repeat(row, cnt), np.repeat(tau, cnt), np.arange(len(off)) - off
+        tau, row = np.divmod(np.repeat(ids, cnt), rows)
+        yield lo, hi, row, tau, np.arange(len(off)) - off
 
 
 def _rows(config: DetectorConfig, streams: list[np.ndarray]):
@@ -187,9 +194,10 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     accumulated left to right as `update` does.  With theta0 unknown
     P[i, T] is T A(S[i, T] / T) as priced, with its bound dP[i, T]
     (`_prefix_terms`): the pooled term at step T and the pre-change term of
-    the candidate at tau = T; with theta0 known both are None.  Row r of
-    ``pop`` is `_pop_steps` of its stream and direction, which negates a
-    down row's copy of g, and sign[r] its direction's sign.
+    the candidate at tau = T; with theta0 known both are None.  ``pop`` is
+    int64 (rows x steps), row r the list `_pop_steps` returns for its
+    stream and direction (negating a down row's copy of g), and sign[r] is
+    its direction's sign.
     """
     spec = config.spec
     states = Detector(config).states
@@ -199,7 +207,7 @@ def _rows(config: DetectorConfig, streams: list[np.ndarray]):
     G = spec.suff_arr(np.array(streams, dtype=float).reshape(len(streams), end))
     S = np.zeros((len(G), end + 1))
     np.cumsum(G, axis=1, out=S[:, 1:])
-    pop = np.empty((len(G) * len(states), end), dtype=np.int64)
+    pop = np.empty((len(G) * len(states), end), dtype=np.int64, order="F")  # so pop.T.ravel() copies nothing
     for i in range(len(G)):
         g = G[i].tolist()  # one stream's observations as a list at a time
         pop[i * len(states):(i + 1) * len(states)] = [_pop_steps(st, g) for st in states]
@@ -261,7 +269,7 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     # data and contributes 0
     for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1):
         cs, St = S[tau], S[T]
-        pre = None if known else (P[tau], dP[tau], P[T], dP[T])
+        pre = None if known else (P, dP, tau, T)
         ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
         j = T[ok] - lo
         low_blk = low[lo:hi]
@@ -401,14 +409,16 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
 
     The streams must all have one length (see `_rows`).  Each (stream,
     direction) is one row: `_pop_steps` logs when each of its candidates
-    leaves the stored set, and `_block_pairs` yields every row's (stored
-    candidate, step) pairs a block of steps at a time.  In each block the
-    pairs of streams that have fired are dropped and the rest priced with
-    `_curve_m_arr`.  A pair fires for certain where 2 (v - d) reaches the
-    threshold and cannot fire where 2 (v + d) stays below it; only the
-    pairs between are redone exactly by `_exact`.  A stream's
-    detection is the smallest step among its firing pairs in the first
-    block where any fire, and the pass stops once every stream has fired.
+    leaves the stored set, and `_block_pairs` yields the (stored candidate,
+    step) pairs of the live rows a block of steps at a time; a stream's rows
+    are cleared in the row mask once it fires.  S, P and dP are read flat,
+    a pair of stream ln at ln (len + 1) + tau and ln (len + 1) + T, and the
+    pairs are priced with `_curve_m_arr`.  A pair fires for certain where
+    2 (v - d) reaches the threshold and cannot fire where 2 (v + d) stays
+    below it; only the pairs between are redone exactly by `_exact`.  A
+    stream's detection is the smallest step among its firing pairs in the
+    first block where any fire, and the pass stops once every stream has
+    fired.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
@@ -427,15 +437,15 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     thr = config.threshold
     states, S, P, dP, pop, sign = _rows(config, streams)
     known = P is None
-    n_streams, n_dir = len(streams), len(states)
+    n_streams, n_dir, end = len(streams), len(states), pop.shape[1]
+    S = S.ravel()
     out: list[int | None] = [None] * n_streams
-    live = np.ones(n_streams, dtype=bool)
-    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1):
+    live = np.ones(len(pop), dtype=bool)
+    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1, live):
         ln = row // n_dir
-        keep = np.flatnonzero(live[ln])
-        row, ln, tau, T = row[keep], ln[keep], tau[keep], T[keep]
-        cs, St = S[ln, tau], S[ln, T]
-        pre = None if known else (P[ln, tau], dP[ln, tau], P[ln, T], dP[ln, T])
+        it, iT = ln * (end + 1) + tau, ln * (end + 1) + T
+        cs, St = S[it], S[iT]
+        pre = None if known else (P.ravel(), dP.ravel(), it, iT)
         ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
         if d is None:
             fire = ok[2.0 * v >= thr]
@@ -452,7 +462,7 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             np.minimum.at(at, ln[fire], T[fire])
             for i in np.flatnonzero(at < hi).tolist():
                 out[i] = int(at[i])
-            live[at < hi] = False
+            live.reshape(n_streams, n_dir)[at < hi] = False  # stream i's rows are i n_dir .. (i + 1) n_dir - 1
             if not live.any():
                 break
     return out

@@ -176,34 +176,57 @@ def test_a_zero_log_gap_is_seen(monkeypatch):
 @pytest.mark.parametrize("block", [_BLOCK, 7, 1])
 def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
     monkeypatch.setattr(bench, "_BLOCK", block)
-    g = generate(Scenario(GM, 0.0, 1.0, 400, 2 * _BLOCK + 37, seed=11)).tolist()
+    length = 2 * _BLOCK + 37
+    gs = [generate(Scenario(GM, 0.0, 1.0, 400, length, seed=s)).tolist() for s in (11, 12, 13)]
     for theta0 in (0.0, None):
         cfg = DetectorConfig(GM, theta0, 1.0, "both")
-        pops, want = [], set()
-        for row, (st, ref) in enumerate(zip(Detector(cfg).states, Detector(cfg).states)):
-            stored = set()
-            for T, gi in enumerate(g, 1):
-                update(ref, gi)
-                stored.update((tau, T) for tau, *_ in ref.records)
-            pop = bench._pop_steps(st, g)
+        # one row per (stream, direction), stream-major as in `_rows`
+        pops, stored = [], []
+        for i, g in enumerate(gs):
+            for st, ref in zip(Detector(cfg).states, Detector(cfg).states):
+                pairs = set()
+                for T, gi in enumerate(g, 1):
+                    update(ref, gi)
+                    pairs.update((tau, T) for tau, *_ in ref.records)
+                pops.append(bench._pop_steps(st, g))
+                stored.append(pairs)
+                if i == 0:
+                    for first_tau in (0, 1):
+                        got = [(a, b) for _, _, _, tau, T in bench._block_pairs(np.array(pops[-1:]), first_tau)
+                               for a, b in zip(tau.tolist(), T.tolist())]
+                        assert len(got) == len(set(got))
+                        assert set(got) == {(a, b) for a, b in pairs if a >= first_tau}
+        # the pop log of `_rows` holds these lists, a row each
+        pop = bench._rows(cfg, [np.array(g) for g in gs])[4]
+        assert pop.dtype == np.int64 and pop.shape == (len(pops), length) and pop.tolist() == pops
+        # both directions of one stream as two rows, and odd counts of rows
+        # from different streams and directions, so that the pair ids
+        # tau * rows + r are decoded by a divisor that is not a power of two
+        for pick in ([0, 1], [1, 2, 5], [0, 1, 2, 3, 4]):
+            want = {(r, a, b) for r, k in enumerate(pick) for a, b in stored[k]}
             for first_tau in (0, 1):
-                got = [(a, b) for _, _, _, tau, T in bench._block_pairs(pop[None], first_tau)
-                       for a, b in zip(tau.tolist(), T.tolist())]
+                got, edges = [], []
+                for lo, hi, row, tau, T in bench._block_pairs(np.array([pops[k] for k in pick]), first_tau):
+                    assert ((lo <= T) & (T < hi)).all()
+                    edges.append((lo, hi))
+                    got += zip(row.tolist(), tau.tolist(), T.tolist())
                 assert len(got) == len(set(got))
-                assert set(got) == {(a, b) for a, b in stored if a >= first_tau}
-            pops.append(pop)
-            want.update((row, a, b) for a, b in stored)
-        # both directions as two rows: blocks of half the steps
-        for first_tau in (0, 1):
-            got, edges = [], []
-            for lo, hi, row, tau, T in bench._block_pairs(np.array(pops), first_tau):
-                assert ((lo <= T) & (T < hi)).all()
-                edges.append((lo, hi))
+                assert set(got) == {(r, a, b) for r, a, b in want if a >= first_tau}
+                step = max(1, block // len(pick))
+                assert edges == [(lo, min(lo + step, length + 1)) for lo in range(1, length + 1, step)]
+            # rows cleared in ``live`` between blocks: from the next block on
+            # they yield no pair, and the other rows' pairs stay as they were
+            live = np.ones(len(pick), dtype=bool)
+            clear = {1: len(edges) // 3, len(pick) - 1: 2 * len(edges) // 3}
+            got, cut = [], {}
+            for b, (lo, hi, row, tau, T) in enumerate(bench._block_pairs(np.array([pops[k] for k in pick]), 1, live)):
                 got += zip(row.tolist(), tau.tolist(), T.tolist())
+                for r, at in clear.items():
+                    if b == at:
+                        live[r] = False
+                        cut[r] = hi
             assert len(got) == len(set(got))
-            assert set(got) == {(r, a, b) for r, a, b in want if a >= first_tau}
-            step = max(1, block // 2)
-            assert edges == [(lo, min(lo + step, len(g) + 1)) for lo in range(1, len(g) + 1, step)]
+            assert set(got) == {(r, a, b) for r, a, b in want if a >= 1 and b < cut.get(r, length + 1)}
 
 
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
@@ -240,8 +263,8 @@ def test_pop_steps_are_those_of_update(family):
                     # a down row reads -g from a copy: g, the next row's
                     # input, keeps every bit, signs of zero included
                     assert np.array(g).tobytes() == before
-                    assert got.dtype == np.int64 and got.tolist() == want
-                    assert np.array_equal(bench._pop_steps(st, g), got)
+                    assert got == want
+                    assert bench._pop_steps(st, g) == got
                     assert st.records == [] and st.counters == CounterSet()
                     assert (st.total_count, st.total_sum) == (0, 0.0)
     assert longest_cascade >= 3 and barriers > 0
@@ -259,7 +282,7 @@ def test_pop_steps_merge_on_nan_comparisons(theta0, direction):
         (None, "down"): ([9, 2, 3, 4, 5, 6, 7, 8], [10, 4, 3, 4, 5, 6, 7, 8, 9]),
     }[theta0, direction]
     st = Detector(DetectorConfig(GM, theta0, 1.0, direction)).states[0]
-    assert [bench._pop_steps(st, g).tolist() for g in NAN_STREAMS] == list(want)
+    assert [bench._pop_steps(st, g) for g in NAN_STREAMS] == list(want)
 
 
 def test_pop_steps_barrier_at_an_infinite_null_mean():
@@ -280,7 +303,22 @@ def test_pop_steps_barrier_at_an_infinite_null_mean():
             stored = now
         want.append(pops)
     assert want == [[1, 2, 6, 4, 5], [6, 2, 3, 4, 5]]
-    assert [bench._pop_steps(st, g).tolist() for st in Detector(cfg).states] == want
+    assert [bench._pop_steps(st, g) for st in Detector(cfg).states] == want
+
+
+@pytest.mark.parametrize("theta0", [0.0, None], ids=["known", "unknown"])
+@pytest.mark.parametrize("direction", ["up", "down", "both"])
+def test_kernels_on_empty_and_one_step_streams(theta0, direction):
+    # a batch of three empty streams yields no block; one step at theta0
+    # (or with no pre-change data) prices a single pair at 0
+    cfg = DetectorConfig(GM, theta0, 1e-3, direction)
+    assert _first_detections(cfg, np.zeros((3, 0))) == [None] * 3
+    for n, path in ((0, []), (1, [0.0])):
+        s = np.zeros(n)
+        got = stat_running_max(cfg, s)
+        assert got.dtype == np.float64 and got.tolist() == path
+        assert got.tobytes() == scalar_running_max(cfg, s).tobytes()
+        assert _first_detections(cfg, [s]) == [first_detection(cfg, s)] == [None]
 
 
 def test_running_max_raises_on_a_degenerate_segment_like_scalar():
@@ -315,7 +353,7 @@ def test_running_max_memory_beyond_its_arrays_is_flat():
 def test_first_detections_memory_beyond_its_arrays_is_flat():
     # the O(replicates x T) arrays (sufficient statistics, prefix sums, both
     # directions' pop steps, the priced prefix terms and their bounds) take
-    # about 54 bytes a replicate step here; with whole 1024-step blocks for
+    # about 38 bytes a replicate step here; with whole 1024-step blocks for
     # every row the per-pair arrays of the vector pass would add about 2300
     # more, growing with the number of replicates
     cfg = DetectorConfig(GM, None, 1e12, "both")
@@ -479,6 +517,39 @@ def test_lanes_equal_scalar_first_detection(family, monkeypatch):
     # lanes that fire at the first step (theta0 known), later, and never
     assert 1 in times and None in times and any(t is not None and t > 2 for t in times)
     assert all(spread.values())
+
+
+def test_kernels_where_stored_pairs_are_behind_their_pre_change_mean():
+    # gauss-mean values a few ulps apart, theta0 unknown: rounding leaves a
+    # stored candidate's segment mean equal to its pre-change mean (3.0 in
+    # a down row of this stream, and so in an up row of its negation), so
+    # the pairs `_curve_m_arr` prices are not a prefix of a block's pairs,
+    # and the prefix terms must be read at those pairs
+    x = np.array([3.0000000000000013, 3.0, 3.0000000000000013, 2.999999999999999, 3.0000000000000013,
+                  3.000000000000001, 3.0000000000000013, 2.9999999999999982, 3.0000000000000018, 3.0,
+                  2.9999999999999987, 2.9999999999999982, 3.0, 2.9999999999999982, 3.0000000000000013,
+                  3.0000000000000013, 2.9999999999999987, 3.000000000000001, 3.000000000000001,
+                  2.9999999999999987, 3.0])
+    streams = [x, -x]
+    for direction in ("up", "down", "both"):
+        cfg = DetectorConfig(GM, None, 1.0, direction)
+        _, S, _, _, pop, sign = bench._rows(cfg, streams)
+        n_dir = len(pop) // len(streams)
+        behind = 0
+        for _, _, row, tau, T in bench._block_pairs(pop, 1):
+            cs, St = S[row // n_dir, tau], S[row // n_dir, T]
+            behind += np.count_nonzero(~(((St - cs) / (T - tau) - cs / tau) * sign[row] > 0))
+        assert behind > 0
+        paths = [scalar_running_max(cfg, s) for s in streams]
+        for s, want in zip(streams, paths):
+            assert stat_running_max(cfg, s).tobytes() == want.tobytes()
+        # at these statistics, rounding noise of about 1e-14, the prefix
+        # bounds of `first_detection`'s walk are not upper bounds, so the
+        # lanes are held to the first step where the path crosses
+        for thr in np.unique(np.concatenate(paths))[1:].tolist():
+            cfg = DetectorConfig(GM, None, thr, direction)
+            want = [int(np.argmax(p >= thr)) + 1 if p[-1] >= thr else None for p in paths]
+            assert _first_detections(cfg, streams) == want
 
 
 def test_lanes_raise_on_a_degenerate_segment_like_scalar():

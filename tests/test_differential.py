@@ -130,4 +130,4 @@ def test_pop_steps_are_the_steps_that_drop_updates_candidates(g, theta0, directi
             for tau in (stored | {T - 1}) - now:
                 want[tau] = T
             stored = now
-        assert bench._pop_steps(state, g).tolist() == want
+        assert bench._pop_steps(state, g) == want
