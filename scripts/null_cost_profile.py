@@ -22,10 +22,10 @@ from streamcpd import (
     generate,
     new_state,
     q_full,
-    step_states,
     update,
 )
 from streamcpd.counters import CounterSet
+from streamcpd.detector import step_states
 
 
 def main() -> int:
@@ -65,7 +65,7 @@ def main() -> int:
 
     before = [(c.curves_evaluated_sum, c.transcendental_calls) for c in snap()]
     for i, g in enumerate(g_list):
-        update_root_pruning(st_root, roots, g, fam, args.theta, args.root_tol, root_logs)
+        update_root_pruning(st_root, roots, g, fam, args.root_tol, root_logs)
         q_full(st_root, fam)
         update(st_mean, g)
         q_full(st_mean, fam)

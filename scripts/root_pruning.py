@@ -9,7 +9,9 @@ sets can differ for some steps.  It exists only to measure what the mean
 comparison saves; `null_cost_profile.py` drives it.  The state's records
 are the 5-tuples that `update` builds, so `q_full` and `check` run on it;
 the root of each candidate's segment curve sits at the same index of a
-list kept beside them.
+list kept beside them.  theta0 and its constants come from the state, and
+one bracket search, from theta0 towards the domain edge on the monitored
+side, serves both directions.
 
 Import it with ``scripts/`` on ``sys.path``.
 """
@@ -41,27 +43,19 @@ def beta_prime(spec: FamilySpec, theta: float) -> float:
 
 
 def _curve_root(
-    spec: FamilySpec,
-    theta0: float,
-    alpha0: float,
-    beta0: float,
-    g0: float,
-    seg_sum: float,
-    seg_n: int,
-    sign: int,
-    tol: float,
-    counters: CounterSet,
+    state: PruneState, spec: FamilySpec, seg_sum: float, seg_n: int, tol: float, counters: CounterSet
 ) -> float:
-    """Root of the segment curve on the monitored side of theta0.
+    """Root of the segment curve on the state's monitored side of its theta0.
 
     Solves (a(t) - a(t0)) * S - (b(t) - b(t0)) * n = 0 for t != t0 by
     safeguarded Newton iteration with a bisection fallback, to |C| <= tol.
     Returns theta0 itself when the segment mean is at or behind the null
-    mean (no root past the boundary), and +/-inf when the curve stays
-    positive all the way to the domain edge.
+    mean (no root past the boundary), and the domain edge on the monitored
+    side (+/-inf where it is open) when the curve stays positive all the
+    way to it.
     """
-    gbar = seg_sum / seg_n
-    if (gbar - g0) * sign <= 0:
+    theta0, alpha0, beta0, sign = state.theta0, state.alpha0, state.beta0, state.sign
+    if (seg_sum / seg_n - state.g0) * sign <= 0:
         return theta0
     cost = spec.transcendental_cost
 
@@ -72,55 +66,32 @@ def _curve_root(
     def Cp(t: float) -> float:
         return alpha_prime(spec, t) * seg_sum - beta_prime(spec, t) * seg_n
 
-    lo_dom, hi_dom = spec.param_domain
-    # bracket [a, b] with C(a) > 0 >= C(b), expanding away from theta0
+    # bracket [a, b] with C(a) > 0 >= C(b), moving from theta0 towards the edge:
+    # doubling steps to an open edge, halving the distance to a closed one
+    edge = spec.param_domain[sign > 0]
     a = theta0
-    if sign > 0:
-        if math.isinf(hi_dom):
-            step = max(abs(theta0), 1.0)
-            b = theta0 + step
-            for _ in range(200):
-                if C(b) <= 0:
-                    break
-                a = b
-                step *= 2.0
-                b = theta0 + step
-            else:
-                return math.inf
+    if math.isinf(edge):
+        step = max(abs(theta0), 1.0)
+        b = theta0 + sign * step
+        for _ in range(200):
+            if C(b) <= 0:
+                break
+            a = b
+            step *= 2.0
+            b = theta0 + sign * step
         else:
-            b = 0.5 * (theta0 + hi_dom)
-            for _ in range(80):
-                if b >= hi_dom or b == a:
-                    return hi_dom  # positive all the way to the domain edge
-                if C(b) <= 0:
-                    break
-                a = b
-                b = 0.5 * (b + hi_dom)
-            else:
-                return hi_dom
+            return edge
     else:
-        if math.isinf(lo_dom):
-            step = max(abs(theta0), 1.0)
-            b = theta0 - step
-            for _ in range(200):
-                if C(b) <= 0:
-                    break
-                a = b
-                step *= 2.0
-                b = theta0 - step
-            else:
-                return -math.inf
+        b = 0.5 * (theta0 + edge)
+        for _ in range(80):
+            if (b - edge) * sign >= 0 or b == a:
+                return edge  # positive all the way to the domain edge
+            if C(b) <= 0:
+                break
+            a = b
+            b = 0.5 * (b + edge)
         else:
-            b = 0.5 * (theta0 + lo_dom)
-            for _ in range(80):
-                if b <= lo_dom or b == a:
-                    return lo_dom  # positive all the way to the domain edge
-                if C(b) <= 0:
-                    break
-                a = b
-                b = 0.5 * (b + lo_dom)
-            else:
-                return lo_dom
+            return edge
 
     # a is on the positive side, b on the non-positive side
     x = 0.5 * (a + b)
@@ -149,7 +120,6 @@ def update_root_pruning(
     roots: list[float],
     g: float,
     spec: FamilySpec,
-    theta0: float,
     tolerance: float,
     root_counters: CounterSet | None = None,
 ) -> PruneState:
@@ -157,12 +127,13 @@ def update_root_pruning(
 
     Retains the candidate sets of `update`, except where two segment means
     tie (integer data), which the root comparison breaks differently; known
-    pre-change parameter only.  ``roots`` holds the root of each record's
-    segment curve, index for index, and starts empty with the state; both
-    must be driven by this update exclusively.  The state tallies its
-    stored curves (so its `counters` count merges and stored curves as
-    `update`'s do); the root solves' log calls go to ``root_counters``'s
-    ``transcendental_calls``, when given.
+    pre-change parameter only, read from ``state`` with its constants.
+    ``roots`` holds the root of each record's segment curve, index for
+    index, and starts empty with the state; both must be driven by this
+    update exclusively.  The state tallies its stored curves (so its
+    `counters` count merges and stored curves as `update`'s do); the root
+    solves' log calls go to ``root_counters``'s ``transcendental_calls``,
+    when given.
     """
     if state.theta0 is None:
         raise ValueError("root pruning requires a known pre-change parameter")
@@ -178,19 +149,18 @@ def update_root_pruning(
     T = state.total_count
     St = state.total_sum
     sign = state.sign
-    a0, b0, g0 = state.alpha0, state.beta0, state.g0
 
     tau, cs = recs[-1][:2]
-    suf_root = _curve_root(spec, theta0, a0, b0, g0, St - cs, T - tau, sign, tolerance, c)
+    suf_root = _curve_root(state, spec, St - cs, T - tau, tolerance, c)
     while len(recs) >= 2:
         if (suf_root - roots[-2]) * sign > 0:
             break
         recs.pop()
         roots.pop()
         tau, cs = recs[-1][:2]
-        suf_root = _curve_root(spec, theta0, a0, b0, g0, St - cs, T - tau, sign, tolerance, c)
+        suf_root = _curve_root(state, spec, St - cs, T - tau, tolerance, c)
 
-    if len(recs) == 1 and (suf_root - theta0) * sign <= 0:
+    if len(recs) == 1 and (suf_root - state.theta0) * sign <= 0:
         recs.pop()
         roots.pop()
     elif recs:

@@ -21,7 +21,6 @@ _EXPORTS = {
     "Detector": "detector",
     "DetectorConfig": "detector",
     "StepResult": "detector",
-    "step_states": "detector",
     "CalibrationError": "errors",
     "DegenerateSegmentError": "errors",
     "InsufficientDataError": "errors",

@@ -35,7 +35,6 @@ PUBLIC = [
     "mean_delay",
     "new_state",
     "q_full",
-    "step_states",
     "update",
 ]
 

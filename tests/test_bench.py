@@ -519,18 +519,21 @@ def test_lanes_equal_scalar_first_detection(family, monkeypatch):
     assert all(spread.values())
 
 
+# gauss-mean values within a few ulps of 3.0
+NEAR_THREE = np.array([3.0000000000000013, 3.0, 3.0000000000000013, 2.999999999999999, 3.0000000000000013,
+                       3.000000000000001, 3.0000000000000013, 2.9999999999999982, 3.0000000000000018, 3.0,
+                       2.9999999999999987, 2.9999999999999982, 3.0, 2.9999999999999982, 3.0000000000000013,
+                       3.0000000000000013, 2.9999999999999987, 3.000000000000001, 3.000000000000001,
+                       2.9999999999999987, 3.0])
+
+
 def test_kernels_where_stored_pairs_are_behind_their_pre_change_mean():
     # gauss-mean values a few ulps apart, theta0 unknown: rounding leaves a
     # stored candidate's segment mean equal to its pre-change mean (3.0 in
     # a down row of this stream, and so in an up row of its negation), so
     # the pairs `_curve_m_arr` prices are not a prefix of a block's pairs,
     # and the prefix terms must be read at those pairs
-    x = np.array([3.0000000000000013, 3.0, 3.0000000000000013, 2.999999999999999, 3.0000000000000013,
-                  3.000000000000001, 3.0000000000000013, 2.9999999999999982, 3.0000000000000018, 3.0,
-                  2.9999999999999987, 2.9999999999999982, 3.0, 2.9999999999999982, 3.0000000000000013,
-                  3.0000000000000013, 2.9999999999999987, 3.000000000000001, 3.000000000000001,
-                  2.9999999999999987, 3.0])
-    streams = [x, -x]
+    streams = [NEAR_THREE, -NEAR_THREE]
     for direction in ("up", "down", "both"):
         cfg = DetectorConfig(GM, None, 1.0, direction)
         _, S, _, _, pop, sign = bench._rows(cfg, streams)
@@ -550,6 +553,20 @@ def test_kernels_where_stored_pairs_are_behind_their_pre_change_mean():
             cfg = DetectorConfig(GM, None, thr, direction)
             want = [int(np.argmax(p >= thr)) + 1 if p[-1] >= thr else None for p in paths]
             assert _first_detections(cfg, streams) == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP small item: the walk's prefix bounds are not upper bounds "
+                          "at rounding-noise statistics; step 1c of item 1 rewrites the statistic")
+def test_walk_fires_where_the_path_crosses_at_rounding_noise():
+    # at step 11 the newest candidate's m = 7.1e-15 and prefix bound 0.0 stop
+    # `maxima._walk` at 2(m + bound) = 1.42e-14, below an older candidate's
+    # 2m = 2.84e-14, so at that threshold `first_detection` never fires
+    cfg = DetectorConfig(GM, None, 2.842170943040401e-14, "up")
+    path = stat_running_max(cfg, -NEAR_THREE)
+    assert int(np.argmax(path >= cfg.threshold)) + 1 == 11
+    assert _first_detections(cfg, [-NEAR_THREE]) == [11]
+    assert first_detection(cfg, -NEAR_THREE) == 11
 
 
 def test_lanes_raise_on_a_degenerate_segment_like_scalar():

@@ -31,10 +31,10 @@ from streamcpd import (
     counter_profile,
     generate,
     q_full,
-    step_states,
     update,
 )
 from streamcpd.counters import CounterSet
+from streamcpd.detector import step_states
 
 # family, pre-change theta, post-change thetas (above, below)
 FAMILIES = [

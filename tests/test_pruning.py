@@ -15,9 +15,9 @@ from streamcpd import (
     ParamDomainError,
     new_state,
     q_full,
-    step_states,
     update,
 )
+from streamcpd.detector import step_states
 
 GM = FamilySpec.gauss_mean()
 GV = FamilySpec.gauss_var()

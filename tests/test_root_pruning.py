@@ -1,14 +1,16 @@
 """Root-comparison pruning (scripts/root_pruning.py) against mean-comparison pruning."""
 
+import hashlib
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from streamcpd import Direction, FamilySpec, check, new_state, update
+from streamcpd import Direction, FamilySpec, Scenario, check, generate, new_state, update
 from streamcpd.counters import CounterSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -41,7 +43,7 @@ def test_alpha_beta_primes_match_finite_difference(spec):
 
 def test_root_pruning_gaussian_singleton_root():
     state, roots = new_state(Direction.UP, 0.0, GM), []
-    update_root_pruning(state, roots, 1.0, GM, 0.0, 1e-12)
+    update_root_pruning(state, roots, 1.0, GM, 1e-12)
     assert len(roots) == len(state.records) == 1
     assert roots[-1] == pytest.approx(2.0, abs=1e-9)
 
@@ -52,8 +54,8 @@ def test_root_pruning_poisson_root_value():
     want = brentq(lambda t: 4 * math.log(t) - 2 * (t - 1), 1.5, 20.0, xtol=1e-13)
     assert want == pytest.approx(3.512862417252341, abs=1e-9)
     state, roots = new_state(Direction.UP, 1.0, PO), []
-    update_root_pruning(state, roots, 3.0, PO, 1.0, 1e-12)
-    update_root_pruning(state, roots, 1.0, PO, 1.0, 1e-12)  # merges into {S=4, n=2}
+    update_root_pruning(state, roots, 3.0, PO, 1e-12)
+    update_root_pruning(state, roots, 1.0, PO, 1e-12)  # merges into {S=4, n=2}
     assert len(state.records) == len(roots) == 1
     assert roots[-1] == pytest.approx(want, abs=1e-7)
 
@@ -66,7 +68,7 @@ def test_root_pruning_identical_tau_sets(direction):
     st_root, roots = new_state(direction, 0.0, GM), []
     for x in data:
         update(st_mean, GM.suff(x))
-        update_root_pruning(st_root, roots, GM.suff(x), GM, 0.0, 1e-11)
+        update_root_pruning(st_root, roots, GM.suff(x), GM, 1e-11)
         assert [tau for tau, *_ in st_mean.records] == [tau for tau, *_ in st_root.records]
         assert len(roots) == len(st_root.records)
         # the cached means that `check` reads, and so its outcome
@@ -86,7 +88,7 @@ def test_root_pruning_counts_transcendentals():
     stored = 0
     for x in data:
         update(st_mean, PO.suff(x))
-        update_root_pruning(st_root, roots, PO.suff(x), PO, 1.0, 1e-11, root_logs)
+        update_root_pruning(st_root, roots, PO.suff(x), PO, 1e-11, root_logs)
         stored += len(st_root.records)
     assert [tau for tau, *_ in st_mean.records] == [tau for tau, *_ in st_root.records]
     assert st_mean.counters.transcendental_calls == 0  # mean pruning never takes logs
@@ -98,4 +100,49 @@ def test_root_pruning_counts_transcendentals():
 def test_root_pruning_requires_known_theta0():
     state = new_state(Direction.UP, None, GM)
     with pytest.raises(ValueError):
-        update_root_pruning(state, [], 1.0, GM, 0.0, 1e-9)
+        update_root_pruning(state, [], 1.0, GM, 1e-9)
+
+
+# family, pre-change theta (the known theta0), post-change thetas (above, below)
+DIGEST_FAMILIES = {
+    "gauss-mean": (GM, 0.0, (1.0, -1.0)),
+    "gauss-var": (FamilySpec.gauss_var(), 1.0, (2.5, 0.4)),
+    "poisson": (PO, 2.0, (3.5, 1.0)),
+    "binomial-1": (FamilySpec.binomial(1), 0.5, (0.8, 0.2)),
+    "binomial-4": (FamilySpec.binomial(4), 0.4, (0.65, 0.2)),
+    "gamma-2": (FamilySpec.gamma(2.0), 1.0, (1.8, 0.5)),
+}
+
+# sha256 of what `update_root_pruning` leaves after every step: records, roots,
+# newest mean, root log calls and counters.  Both directions and shifts to
+# both sides at step 150, seeds 0-3, 400 steps; going down, every family but
+# gauss-mean brackets against a closed lower domain edge.
+ROOT_DIGESTS = {
+    "binomial-1": "a5c8977fd5726097fbd2106b93461fbe753a99a42c67fed9ab52cb3b32adf8f9",
+    "binomial-4": "73ab260bd3cd1ba67f46a05bbe7c39d60a8d460ad042c33e1c3f460b60f8af02",
+    "gamma-2": "f67a3e3e65db5f4c3b4f5b2105392587844450e95b0abf10342c6ea2b66e2d5e",
+    "gauss-mean": "c9e9747b513b3d19197925da05be3cd4e155b2830d4fe9b91244f9ffef51f373",
+    "gauss-var": "319c9b9d915b43452b59cc9ffb4aafe7614b754475321779eb878b4fcd812ab7",
+    "poisson": "ad0e0c24017f570ecb71531c19535c14edf4d828a12b4ec11baa66437e69fe59",
+}
+
+
+def root_digest(name):
+    spec, theta0, posts = DIGEST_FAMILIES[name]
+    h = hashlib.sha256()
+    for direction in (Direction.UP, Direction.DOWN):
+        for post in posts:
+            for seed in range(4):
+                data = generate(Scenario(spec, theta0, post, 150, 400, seed))
+                state, roots, root_logs = new_state(direction, theta0, spec), [], CounterSet()
+                for x in data:
+                    update_root_pruning(state, roots, spec.suff(x), spec, 1e-11, root_logs)
+                    h.update(repr((state.records, roots, state.newest_mean,
+                                   root_logs.transcendental_calls,
+                                   astuple(state.counters))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_FAMILIES))
+def test_root_pruning_digest(name):
+    assert root_digest(name) == ROOT_DIGESTS[name]

@@ -28,8 +28,8 @@ from streamcpd import (
     Scenario,
     StreamCpdError,
     generate,
-    step_states,
 )
+from streamcpd.detector import step_states
 from test_differential import FAMILIES as DRAWN_FAMILIES
 
 # family, pre-change theta, post-change thetas (above, below)
