@@ -73,14 +73,12 @@ def _curve_root(
     if math.isinf(edge):
         step = max(abs(theta0), 1.0)
         b = theta0 + sign * step
-        for _ in range(200):
-            if C(b) <= 0:
-                break
+        while math.isfinite(b) and not C(b) <= 0:
             a = b
             step *= 2.0
             b = theta0 + sign * step
-        else:
-            return edge
+        if not math.isfinite(b):
+            return edge  # positive at every finite probe
     else:
         b = 0.5 * (theta0 + edge)
         for _ in range(80):

@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .counters import CounterSet, derive
-from .detector import Detector, DetectorConfig, step_states
+from .detector import _DIRECTIONS, Detector, DetectorConfig, step_states
 from .errors import CalibrationError
 from . import families
 from .families import _TINY, FamilySpec
@@ -56,9 +56,9 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
     with `FamilySpec.conjugate_arr` for the conjugates.  ``state`` gives
     theta0 and the constants derived from it, ``sign`` the direction of
     each pair.  With theta0 unknown every tau must be positive, and ``pre``
-    is (P, dP, i_tau, i_T): the i A(S_i / i) of `_prefix_terms` as priced
-    and their bounds, and each pair's indices into them of tau A(cum_sum /
-    tau) and T A(St / T), read only at the pairs past the pre-change mean.
+    is (P, dP, i_tau, i_T): the i A(S_i / i) of `_priced` and their
+    bounds, and each pair's indices into them of tau A(cum_sum / tau) and
+    T A(St / T), read only at the pairs past the pre-change mean.
 
     The bound follows `FamilySpec.conjugate_arr`'s error model: the
     conjugates' bounds enter times the exact factors that scale them and
@@ -100,19 +100,6 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
         else:
             d = None
     return ok, v, d
-
-
-def _prefix_terms(spec, S, i):
-    """i A(S / i) and its bound, with S the prefix sums at steps i: the
-    pre-change term of a candidate at tau = i and the pooled term at T = i.
-    One rounding after the conjugate, bounded as in `_curve_m_arr`.
-    """
-    a, d = spec.conjugate_arr(S / i)
-    p = i * a
-    if d.any():
-        e = families.LOG_ULP_GAP * families._EPS
-        d = i * d * (1.0 + 8.0 * e) + (np.abs(p) + _TINY) * (2.0 * e)
-    return p, d
 
 
 def _pop_steps(state, g: list[float]) -> list[int]:
@@ -183,49 +170,65 @@ def _block_pairs(pop: np.ndarray, first_tau: int, live: np.ndarray | None = None
         yield lo, hi, row, tau, np.arange(len(off)) - off
 
 
-def _rows(config: DetectorConfig, streams: list[np.ndarray]):
-    """What both Monte Carlo kernels price, with one row per (stream,
-    direction): (states, S, P, dP, pop, sign).
+def _priced(config: DetectorConfig, streams, live: np.ndarray | None = None):
+    """The priced pairs both Monte Carlo kernels decide on: per
+    `_block_pairs` block of the streams' rows, (lo, hi, row, T, ok, v, d,
+    exact), with each pair's row and step, `_curve_m_arr`'s (ok, v, d), and
+    exact(k) = `pruning.curve_m` of the block's pairs k, each with its row's
+    direction state: the exact redo.
 
     The streams, a list or the rows of a 2-D array, must all have one
-    length; a batch of two lengths raises ValueError.  ``states`` are the
-    config's empty direction states, and row i * len(states) + k is stream
-    i in direction k.  S[i, T] is stream i's prefix sum g_1 + ... + g_T,
-    accumulated left to right as `update` does.  With theta0 unknown
-    P[i, T] is T A(S[i, T] / T) as priced, with its bound dP[i, T]
-    (`_prefix_terms`): the pooled term at step T and the pre-change term of
-    the candidate at tau = T; with theta0 known both are None.  ``pop`` is
-    int64 (rows x steps), row r the list `_pop_steps` returns for its
-    stream and direction (negating a down row's copy of g), and sign[r] is
-    its direction's sign.
+    length; two lengths raise ValueError.  Row i * n_dir + k is stream i in
+    direction k, with `_pop_steps`' log (a down row's on a negated copy of
+    g), and ``live`` is `_block_pairs`' row mask.  S[i, T] is the prefix sum
+    g_1 + ... + g_T, accumulated as `update` does.  With theta0 unknown,
+    P[i, T] = T A(S[i, T] / T) as priced, with its bound dP[i, T] (one
+    rounding after the conjugate, bounded as in `_curve_m_arr`), is the
+    pooled term at step T and the pre-change term at tau = T; tau = 0 then
+    has no pre-change data and yields no pair.  A pair of stream ln reads
+    S, P and dP flat at ln (len + 1) + tau and ln (len + 1) + T, or at tau
+    and T if there is one stream.
     """
     spec = config.spec
     states = Detector(config).states
+    n_dir = len(states)
     if len({len(s) for s in streams}) > 1:
         raise ValueError("the streams of one call must all have one length")
     end = len(streams[0]) if len(streams) else 0
     G = spec.suff_arr(np.array(streams, dtype=float).reshape(len(streams), end))
     S = np.zeros((len(G), end + 1))
     np.cumsum(G, axis=1, out=S[:, 1:])
-    pop = np.empty((len(G) * len(states), end), dtype=np.int64, order="F")  # so pop.T.ravel() copies nothing
+    pop = np.empty((len(G) * n_dir, end), dtype=np.int64, order="F")  # so pop.T.ravel() copies nothing
     for i in range(len(G)):
         g = G[i].tolist()  # one stream's observations as a list at a time
-        pop[i * len(states):(i + 1) * len(states)] = [_pop_steps(st, g) for st in states]
-    P = dP = None
-    if config.theta0 is None:
+        pop[i * n_dir:(i + 1) * n_dir] = [_pop_steps(st, g) for st in states]
+    known = config.theta0 is not None
+    if not known:
+        i = np.arange(1, end + 1)
+        a, d = spec.conjugate_arr(S[:, 1:] / i)
+        p = i * a
+        if d.any():
+            e = families.LOG_ULP_GAP * families._EPS
+            d = i * d * (1.0 + 8.0 * e) + (np.abs(p) + _TINY) * (2.0 * e)
         P = np.zeros_like(S)
         dP = np.zeros_like(S)
-        P[:, 1:], dP[:, 1:] = _prefix_terms(spec, S[:, 1:], np.arange(1, end + 1))
+        P[:, 1:], dP[:, 1:] = p, d
+        P, dP = P.ravel(), dP.ravel()
     sign = np.array([float(st.sign) for st in states] * len(G))
-    return states, S, P, dP, pop, sign
+    S = S.ravel()
+    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1, live):
+        if len(G) == 1:
+            it, iT = tau, T
+        else:
+            ln = row // n_dir * (end + 1)  # the flat index of the pair's stream at step 0
+            it, iT = ln + tau, ln + T
+        cs, St = S[it], S[iT]
+        ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], None if known else (P, dP, it, iT))
 
-
-def _exact(states, spec, k, row, tau, cs, T, St) -> np.ndarray:
-    """`pruning.curve_m` of the pairs ``k`` of a block, each with the state
-    of its row's direction: the exact redo of both Monte Carlo kernels."""
-    n_dir = len(states)
-    return np.array([curve_m(states[r % n_dir], spec, *pair) for r, *pair in zip(
-        row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
+        def exact(k, row=row, tau=tau, cs=cs, T=T, St=St):
+            return np.array([curve_m(states[r % n_dir], spec, *pair) for r, *pair in zip(
+                row[k].tolist(), tau[k].tolist(), cs[k].tolist(), T[k].tolist(), St[k].tolist())])
+        yield lo, hi, row, T, ok, v, d, exact
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing conjugates: inf or NaN, as in the scalar form
@@ -234,14 +237,10 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
 
     The detector fires at the first step where this path reaches the
     threshold, so one pass prices every threshold at once.  The path is
-    that of `update` and `q_full` after every step, bit for bit, computed in
-    two passes: `_pop_steps` runs `update`'s merge cascade through the
-    stream for each direction and logs when each candidate leaves the
-    stored set, then every (direction, stored candidate, step) pair is
-    priced in numpy by `_curve_m_arr`, the directions' rows stacked and a
-    block of steps at a time (`_block_pairs`), and only the pairs that can
-    move the path are redone exactly by `_exact`, as `_first_detections`
-    redoes its undecided pairs.
+    that of `update` and `q_full` after every step, bit for bit: `_priced`
+    yields every (direction, stored candidate, step) pair priced in numpy a
+    block of steps at a time, and only the pairs that can move the path are
+    redone exactly, as `_first_detections` redoes its undecided pairs.
 
     A pair's clipped statistic lies in [max(v - d, 0), max(v + d, 0)].
     ``low`` holds a lower bound on each step's statistic over both
@@ -257,20 +256,9 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
     conjugate was exact (d is None, as for gauss-mean) the priced values
     go into ``low`` as they are.
     """
-    spec = config.spec
-    states, S, P, dP, pop, sign = _rows(config, [data])
-    known = P is None
-    S = S[0]
-    if not known:
-        P, dP = P[0], dP[0]
-    low = np.zeros(pop.shape[1] + 1)
+    low = np.zeros(len(data) + 1)
     run = 0.0
-    # with theta0 unknown the first candidate (tau = 0) has no pre-change
-    # data and contributes 0
-    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1):
-        cs, St = S[tau], S[T]
-        pre = None if known else (P, dP, tau, T)
-        ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
+    for lo, hi, row, T, ok, v, d, exact in _priced(config, [data]):
         j = T[ok] - lo
         low_blk = low[lo:hi]
         if d is None:
@@ -284,7 +272,7 @@ def stat_running_max(config: DetectorConfig, data: np.ndarray) -> np.ndarray:
             # a NaN bound (overflow) fails the test: the exact form decides it
             k = ok[np.flatnonzero(~(up <= floor[j]))]
             if k.size:
-                np.maximum.at(low_blk, T[k] - lo, _exact(states, spec, k, row, tau, cs, T, St))
+                np.maximum.at(low_blk, T[k] - lo, exact(k))
         run = max(run, low_blk.max(initial=0.0))
     return 2.0 * np.maximum.accumulate(low[1:])
 
@@ -407,18 +395,14 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     """`first_detection` of every stream, by `stat_running_max`'s two passes
     run on all streams together.
 
-    The streams must all have one length (see `_rows`).  Each (stream,
-    direction) is one row: `_pop_steps` logs when each of its candidates
-    leaves the stored set, and `_block_pairs` yields the (stored candidate,
-    step) pairs of the live rows a block of steps at a time; a stream's rows
-    are cleared in the row mask once it fires.  S, P and dP are read flat,
-    a pair of stream ln at ln (len + 1) + tau and ln (len + 1) + T, and the
-    pairs are priced with `_curve_m_arr`.  A pair fires for certain where
-    2 (v - d) reaches the threshold and cannot fire where 2 (v + d) stays
-    below it; only the pairs between are redone exactly by `_exact`.  A
-    stream's detection is the smallest step among its firing pairs in the
-    first block where any fire, and the pass stops once every stream has
-    fired.
+    The streams must all have one length.  `_priced` yields the priced
+    (stored candidate, step) pairs of the live rows, one row per (stream,
+    direction), a block of steps at a time; a stream's rows are cleared in
+    the row mask once it fires.  A pair fires for certain where 2 (v - d)
+    reaches the threshold and cannot fire where 2 (v + d) stays below it;
+    only the pairs between are redone exactly.  A stream's detection is the
+    smallest step among its firing pairs in the first block where any
+    fire, and the pass stops once every stream has fired.
 
     The prefix bounds of the adaptive check only decide how far `check`
     walks, so without them the detection times equal the scalar path's.
@@ -433,20 +417,11 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
     the stream's end and every stored candidate of each block until the
     stream fires, the scalar path what its bounds and its walk reach.
     """
-    spec = config.spec
     thr = config.threshold
-    states, S, P, dP, pop, sign = _rows(config, streams)
-    known = P is None
-    n_streams, n_dir, end = len(streams), len(states), pop.shape[1]
-    S = S.ravel()
+    n_streams, n_dir = len(streams), len(_DIRECTIONS[config.direction])
     out: list[int | None] = [None] * n_streams
-    live = np.ones(len(pop), dtype=bool)
-    for lo, hi, row, tau, T in _block_pairs(pop, 0 if known else 1, live):
-        ln = row // n_dir
-        it, iT = ln * (end + 1) + tau, ln * (end + 1) + T
-        cs, St = S[it], S[iT]
-        pre = None if known else (P.ravel(), dP.ravel(), it, iT)
-        ok, v, d = _curve_m_arr(states[0], spec, tau, cs, T, St, sign[row], pre)
+    live = np.ones(n_streams * n_dir, dtype=bool)
+    for lo, hi, row, T, ok, v, d, exact in _priced(config, streams, live):
         if d is None:
             fire = ok[2.0 * v >= thr]
         else:
@@ -456,10 +431,10 @@ def _first_detections(config: DetectorConfig, streams: list[np.ndarray]) -> list
             sure = 2.0 * (v[c] - d[c]) >= thr
             fire, k = ok[c[sure]], ok[c[~sure]]
             if k.size:
-                fire = np.concatenate([fire, k[2.0 * _exact(states, spec, k, row, tau, cs, T, St) >= thr]])
+                fire = np.concatenate([fire, k[2.0 * exact(k) >= thr]])
         if fire.size:
             at = np.full(n_streams, hi)
-            np.minimum.at(at, ln[fire], T[fire])
+            np.minimum.at(at, row[fire] // n_dir, T[fire])
             for i in np.flatnonzero(at < hi).tolist():
                 out[i] = int(at[i])
             live.reshape(n_streams, n_dir)[at < hi] = False  # stream i's rows are i n_dir .. (i + 1) n_dir - 1

@@ -304,16 +304,17 @@ def _gamma(kk) -> _Forms:
         return x
 
     def conjugate(gbar):
-        if not gbar > 0:
-            raise DegenerateSegmentError(
-                f"segment mean {gbar!r} is not positive; degenerate for gamma"
-            )
-        return -kk - kk * math.log(gbar / kk)
+        r = gbar / kk  # a subnormal mean over a shape above 1 may underflow to 0
+        if not r > 0:
+            why = "is not positive" if not gbar > 0 else f"over shape {kk!r} underflows to 0"
+            raise DegenerateSegmentError(f"segment mean {gbar!r} {why}; degenerate for gamma")
+        return -kk - kk * math.log(r)
 
     def conjugate_arr(np, g, e):
-        if not g.min(initial=1.0) > 0:
+        r = g / kk
+        if not r.min(initial=1.0) > 0:
             return None
-        y = kk * np.log(g / kk)
+        y = kk * np.log(r)
         v = -kk - y
         return v, (2.0 * np.abs(y) + np.abs(v) + 2.0 * _TINY) * (2.0 * e)
 

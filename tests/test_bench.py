@@ -180,7 +180,7 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
     gs = [generate(Scenario(GM, 0.0, 1.0, 400, length, seed=s)).tolist() for s in (11, 12, 13)]
     for theta0 in (0.0, None):
         cfg = DetectorConfig(GM, theta0, 1.0, "both")
-        # one row per (stream, direction), stream-major as in `_rows`
+        # one row per (stream, direction), stream-major as in `_priced`
         pops, stored = [], []
         for i, g in enumerate(gs):
             for st, ref in zip(Detector(cfg).states, Detector(cfg).states):
@@ -196,9 +196,6 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
                                for a, b in zip(tau.tolist(), T.tolist())]
                         assert len(got) == len(set(got))
                         assert set(got) == {(a, b) for a, b in pairs if a >= first_tau}
-        # the pop log of `_rows` holds these lists, a row each
-        pop = bench._rows(cfg, [np.array(g) for g in gs])[4]
-        assert pop.dtype == np.int64 and pop.shape == (len(pops), length) and pop.tolist() == pops
         # both directions of one stream as two rows, and odd counts of rows
         # from different streams and directions, so that the pair ids
         # tau * rows + r are decoded by a divisor that is not a power of two
@@ -227,6 +224,35 @@ def test_block_pairs_are_the_stored_candidates(block, monkeypatch):
                         cut[r] = hi
             assert len(got) == len(set(got))
             assert set(got) == {(r, a, b) for r, a, b in want if a >= 1 and b < cut.get(r, length + 1)}
+
+
+@pytest.mark.parametrize("spec", [GM, GV, FamilySpec.gamma(2.0)], ids=["gauss-mean", "gauss-var", "gamma"])
+def test_priced_batch_rows_are_those_of_one_stream_calls(spec, monkeypatch):
+    # a batch reads S, P and dP at flat indices, a single stream at tau and
+    # T: per row and step both price the same pairs to the same (v, d) and
+    # redo them to the same values.  Every bound is priced here (gauss-mean's
+    # d is always None, the others' never), so blocks of different spans agree
+    pre, post = (0.0, 1.0) if spec is GM else (1.0, 1.7)
+    streams = [generate(Scenario(spec, pre, post, 60, 200, seed=s)) for s in (71, 72, 73)]
+
+    def per_row(batch, first_row):
+        got = {}
+        for _, _, row, T, ok, v, d, exact in bench._priced(cfg, batch):
+            ds = [None] * len(ok) if d is None else d.tolist()
+            for r, *pair in zip((row[ok] + first_row).tolist(), T[ok].tolist(), v.tolist(), ds,
+                                exact(ok).tolist()):
+                got.setdefault(r, []).append(tuple(pair))
+        return {r: sorted(pairs) for r, pairs in got.items()}
+
+    for theta0 in (pre, None):
+        cfg = DetectorConfig(spec, theta0, 1.0, "both")
+        for block in (_BLOCK, 7):
+            monkeypatch.setattr(bench, "_BLOCK", block)
+            want = {}
+            for i, s in enumerate(streams):
+                want.update(per_row([s], 2 * i))
+            got = per_row(streams, 0)
+            assert sorted(got) == list(range(6)) and got == want
 
 
 @pytest.mark.parametrize("family", range(len(LANE_FAMILIES)), ids=LANE_IDS)
@@ -531,17 +557,12 @@ def test_kernels_where_stored_pairs_are_behind_their_pre_change_mean():
     # gauss-mean values a few ulps apart, theta0 unknown: rounding leaves a
     # stored candidate's segment mean equal to its pre-change mean (3.0 in
     # a down row of this stream, and so in an up row of its negation), so
-    # the pairs `_curve_m_arr` prices are not a prefix of a block's pairs,
-    # and the prefix terms must be read at those pairs
+    # `_curve_m_arr` drops those pairs from a block's pairs, and the prefix
+    # terms must be read at the pairs it keeps
     streams = [NEAR_THREE, -NEAR_THREE]
     for direction in ("up", "down", "both"):
         cfg = DetectorConfig(GM, None, 1.0, direction)
-        _, S, _, _, pop, sign = bench._rows(cfg, streams)
-        n_dir = len(pop) // len(streams)
-        behind = 0
-        for _, _, row, tau, T in bench._block_pairs(pop, 1):
-            cs, St = S[row // n_dir, tau], S[row // n_dir, T]
-            behind += np.count_nonzero(~(((St - cs) / (T - tau) - cs / tau) * sign[row] > 0))
+        behind = sum(len(T) - len(ok) for _, _, _, T, ok, *_ in bench._priced(cfg, streams))
         assert behind > 0
         paths = [scalar_running_max(cfg, s) for s in streams]
         for s, want in zip(streams, paths):
@@ -579,6 +600,17 @@ def test_lanes_raise_on_a_degenerate_segment_like_scalar():
         first_detection(cfg, bad)
     with pytest.raises(DegenerateSegmentError):
         _first_detections(cfg, [*ordinary[:2], bad, *ordinary[2:4]])
+
+
+@pytest.mark.parametrize("theta0", [1.0, None], ids=["known", "unknown"])
+def test_monte_carlo_paths_raise_on_a_subnormal_gamma_mean(theta0):
+    # 5e-324 / shape 2 underflows to 0: a degenerate mean for gamma's
+    # conjugate, in the scalar form and the array form alike
+    cfg = DetectorConfig(FamilySpec.gamma(2.0), theta0, 1.0, "both")
+    s = np.array([5e-324, 1.0, 2.0, 1.5])
+    for fn in (first_detection, stat_running_max, lambda c, x: _first_detections(c, [x])):
+        with pytest.raises(DegenerateSegmentError, match="underflows to 0"):
+            fn(cfg, s)
 
 
 def test_lanes_raise_the_first_bad_value_in_stream_order():

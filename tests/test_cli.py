@@ -134,6 +134,15 @@ def test_detect_rejected_value_exits_2(tmp_path, capsys, flags, text):
     assert len(out.splitlines()) == 1
 
 
+def test_detect_subnormal_gamma_mean_exits_2_without_traceback():
+    # 5e-324 / shape 2 underflows to 0, the log's argument in gamma's conjugate
+    proc = subprocess.run([sys.executable, "-m", "streamcpd.cli", "detect", "--family", "gamma", "--shape", "2",
+                           "--theta0", "unknown", "--threshold", "1"], input="5e-324\n",
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 1: ") and "Traceback" not in proc.stderr
+
+
 # bytes that are not UTF-8 on line 3; a comment line with such bytes is skipped
 _NON_UTF8 = b"1\n# caf\xe9\n2\n\xff\xfe1\n3\n"
 _NON_UTF8_ARGS = ["detect", "--family", "gauss-mean", "--theta0", "0", "--threshold", "10"]

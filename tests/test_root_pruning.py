@@ -103,6 +103,46 @@ def test_root_pruning_requires_known_theta0():
         update_root_pruning(state, [], 1.0, GM, 1e-9)
 
 
+def root_and_mean_tau_sets(theta0, data, direction):
+    """The candidate sets of root pruning and of `update` after each step, and the last roots."""
+    st_mean = new_state(direction, theta0, GM)
+    st_root, roots = new_state(direction, theta0, GM), []
+    got, want = [], []
+    for g in data:
+        update(st_mean, g)
+        update_root_pruning(st_root, roots, g, GM, 1e-9)
+        got.append([tau for tau, *_ in st_root.records])
+        want.append([tau for tau, *_ in st_mean.records])
+    return got, want, roots
+
+
+@pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
+def test_root_pruning_finds_roots_far_from_theta0(direction):
+    # the roots 2e60 and 6e60 lie past theta0 + 2^200 = 1.6e60, where a
+    # search capped at 200 doubling probes returned the edge for both
+    sign = direction.sign
+    got, want, roots = root_and_mean_tau_sets(0.0, [sign * 1e60, sign * 3e60], direction)
+    assert got == want == [[0], [0, 1]]
+    assert roots == pytest.approx([sign * 2e60, sign * 6e60], rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
+def test_root_pruning_from_theta0_near_overflow(direction):
+    # every probe from theta0 = 1e300 overflows to +-inf within a few
+    # doublings: the search stops there, at the domain edge, and raises nothing
+    got, want, roots = root_and_mean_tau_sets(1e300, [1e300, 1.7e308, 1.0], direction)
+    assert got == want
+    assert roots == [math.inf * direction.sign] * len(got[-1])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="C(t) = t S - t^2 n / 2 overflows from t = 1.8e108 on, far below "
+                          "the roots 2e200 and 6e200: both read as inf and tie")
+def test_root_pruning_where_the_curve_overflows_before_its_root():
+    got, want, _ = root_and_mean_tau_sets(0.0, [1e200, 3e200], Direction.UP)
+    assert got == want == [[0], [0, 1]]
+
+
 # family, pre-change theta (the known theta0), post-change thetas (above, below)
 DIGEST_FAMILIES = {
     "gauss-mean": (GM, 0.0, (1.0, -1.0)),
