@@ -87,10 +87,10 @@ def _curve_m_arr(state, spec, tau, cum_sum, T, St, sign, pre=None):
     else:
         ok = np.flatnonzero((g_seg - cum_sum / tau) * sign > 0)
         P, dP, it, iT = pre
-        it, iT = it[ok], iT[ok]
+        if len(ok) < len(n):  # a stored pair behind its pre-change mean: a rounding tie
+            it, iT, n, g_seg = it[ok], iT[ok], n[ok], g_seg[ok]
         b, db, pooled, dpooled = P[it], dP[it], P[iT], dP[iT]
-        n = n[ok]
-        a, d = spec.conjugate_arr(g_seg[ok])
+        a, d = spec.conjugate_arr(g_seg)
         y = n * a
         s = b + y
         v = s - pooled
@@ -107,13 +107,13 @@ def _pop_steps(state, g: list[float]) -> list[int]:
     tau, born at step tau + 1, or ``len(g) + 1`` if it stays, for ``g`` fed
     to the empty ``state``, which is left as it is.
 
-    The tail-merge cascade and the null barrier of `pruning._absorb`, in
+    The tail-merge cascade and the null barrier of `pruning.step_states`, in
     its order, on one stack of the first three fields of the stored
     candidates' records, (tau, cum_sum, left_mean); a merge pops once.  The
     pass is one-sided: a down state runs it on -g and -g0, whose prefix
     sums and means are the up ones negated bit for bit (rounding to nearest
     is symmetric; only a zero may change sign, and zeros compare equal), so
-    each comparison decides as `_absorb`'s.  Neumaier (hi, lo) sums keep
+    each comparison decides as the kernel's.  Neumaier (hi, lo) sums keep
     this.  g0 is NaN with theta0 unknown, which no barrier passes.  Change
     both together.
     """

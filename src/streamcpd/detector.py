@@ -1,4 +1,4 @@
-"""Streaming detector orchestrating one or two directional pruning states."""
+"""Streaming detector over one or two direction states, stepped by `pruning.step_states`."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientDataError, SupportError
 from .families import Direction, FamilySpec
-from .maxima import _walk
-from .pruning import PruneState, _absorb, new_state, q_full
+from .pruning import Detection, PruneState, new_state, q_full, step_states
 
 _DIRECTIONS = {"up": (Direction.UP,), "down": (Direction.DOWN,), "both": (Direction.UP, Direction.DOWN)}
 
@@ -39,40 +38,6 @@ class DetectorConfig:
         if self.theta0 is not None and not self.spec.in_domain(self.theta0):
             lo, hi = self.spec.param_domain
             raise ValueError(f"theta0={self.theta0!r} outside parameter domain ({lo}, {hi})")
-
-
-class Detection(NamedTuple):
-    t_detect: int
-    tau_low: int
-    stat: float
-    direction_hit: Direction
-
-
-def step_states(
-    states: list[PruneState], spec: FamilySpec, g: float, threshold: float | None
-) -> tuple[Detection | None, int, int]:
-    """Absorb one sufficient statistic into every direction state, which
-    must all have seen the same observations: `pruning._absorb` (`update`
-    and `attach_bounds`) on each, then `maxima._walk` (`check`'s walk) on
-    each if ``threshold`` is given and the statistic defined.  A threshold
-    that is not positive raises ValueError first.  Returns the strongest
-    detection (None without one), the curves the walks evaluated and the
-    curves stored after the step.
-    """
-    if threshold is not None and not threshold > 0:
-        raise ValueError("threshold must be positive")
-    stored = _absorb(states, g, spec)
-    detection = None
-    evals = 0
-    # with the pre-change parameter unknown the statistic needs at least
-    # one point on each side of a split, so T < 2 can never detect
-    if threshold is not None and (states[0].theta0 is not None or states[0].total_count >= 2):
-        for st in states:
-            tau, stat, n, _ = _walk(st, spec, threshold)
-            evals += n
-            if tau is not None and (detection is None or stat > detection.stat):
-                detection = Detection(st.total_count, tau, stat, st.direction)
-    return detection, evals, stored
 
 
 class StepResult(NamedTuple):

@@ -6,6 +6,7 @@ accumulated strictly before it.  That sum plus the candidate's own suffix
 statistic upper-bounds the maximum over all earlier candidates, so under
 the null the check usually stops after evaluating a single curve; the
 bound only ever skips work, it never changes the threshold decision.
+`pruning.step_states` attaches the bounds and walks the same way inline.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class CheckOutcome(NamedTuple):
 def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
     """Set the prefix bound of the candidate appended by the latest update.
 
-    Call once after every `update`; `step_states` sets it in `_absorb`.  The
+    Call once after every `update`; `pruning.step_states` sets it itself.  The
     first candidate keeps 0.0; a new candidate's record is replaced by one
     with its predecessor's bound plus the statistic of the segment between
     them.  Merged candidates need nothing, and survivors keep their bounds
@@ -52,19 +53,12 @@ def attach_bounds(state: PruneState, spec: FamilySpec) -> None:
 
 
 def check(state: PruneState, spec: FamilySpec, threshold: float) -> CheckOutcome:
-    """Decide whether the doubled statistic crosses ``threshold`` by `_walk`."""
+    """Decide whether the doubled statistic crosses ``threshold``, walking
+    newest candidate to oldest.  Twice (suffix stat + prefix bound) below
+    the threshold certifies every remaining candidate below it; twice the
+    suffix stat reaching it is a detection on [tau, now]."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    hit_tau, hit_stat, evals, bound2 = _walk(state, spec, threshold)
-    return CheckOutcome(hit_tau is not None, hit_tau, state.total_count, hit_stat, evals, bound2)
-
-
-def _walk(state: PruneState, spec: FamilySpec, threshold: float):
-    """`check`'s walk, newest candidate to oldest: (tau_low, stat,
-    curves_evaluated, bound_used) of its `CheckOutcome`.  Twice (suffix stat
-    + prefix bound) below the threshold certifies every remaining candidate
-    below it; twice the suffix stat reaching it is a detection on [tau, now].
-    """
     T, St, pooled = state.total_count, state.total_sum, state.total_term
     g_seg = state.newest_mean  # the newest candidate's, cached
     hit_tau = hit_stat = None
@@ -82,4 +76,4 @@ def _walk(state: PruneState, spec: FamilySpec, threshold: float):
     state.evaluated += evals
     if state.theta0 is None and evals:
         state.pooled += 1
-    return hit_tau, hit_stat, evals, bound2
+    return CheckOutcome(hit_tau is not None, hit_tau, T, hit_stat, evals, bound2)

@@ -23,13 +23,14 @@ cum_sum, left_mean, pre_term, m_bound): its time, the sum of g(x) over the
 first tau observations, the mean of the segment that ends at it (unused on
 the oldest), tau A(cum_sum / tau) with theta0 unknown, and the prefix bound
 of `maxima` (0.0 if none is attached).  The first three are the stack entry
-of `bench._pop_steps`.
+of `bench._pop_steps`.  `step_states` is the step kernel of `Detector.step`;
+`update`, `maxima.attach_bounds` and `maxima.check` are its layered form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .counters import CounterSet, derive
 from .errors import ParamDomainError
@@ -87,24 +88,39 @@ def new_state(direction: Direction, theta0: float | None, spec: FamilySpec) -> P
     return state
 
 
+class Detection(NamedTuple):
+    t_detect: int
+    tau_low: int
+    stat: float
+    direction_hit: Direction
+
+
 def update(state: PruneState, g: float) -> PruneState:
-    """Absorb g = g(x_T): `_absorb` without the prefix bound (`attach_bounds`)."""
-    _absorb([state], g, None)
+    """Absorb g = g(x_T): `step_states` without bound (`attach_bounds`) or walk (`check`)."""
+    step_states([state], None, g, None)
     return state
 
 
-def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
-    """Absorb g into states fed the same observations: price T A(S_T / T)
-    once (theta0 unknown), then on each run the tail merge cascade from the
-    newest candidate (lt, lc, left, pre), stored only if it survives, and
-    the null barrier when theta0 is known; amortized O(1); returns the
-    curves stored.  A comparison divides at most once and reads the cached
-    left mean; NaN merges.  Given ``spec``, a stored newest gets its prefix
-    bound as from `maxima.attach_bounds`, else 0.0.  `bench._pop_steps`
-    runs cascade and barrier on the first three fields of the same records,
-    in their up form: a down state there sees -g, and a comparison times
-    sign here is the same comparison on negated sums.  Change both.
+def step_states(
+    states: list[PruneState], spec: FamilySpec | None, g: float, threshold: float | None
+) -> tuple[Detection | None, int, int]:
+    """The step kernel: absorb g = g(x_T) into every direction state (all
+    fed the same observations), then, if ``threshold`` is given and the
+    statistic defined, walk each as `maxima.check` does; a threshold that is
+    not positive raises ValueError first.  Absorbing prices T A(S_T / T)
+    once (theta0 unknown), then on each state runs the tail merge cascade
+    from the newest candidate (lt, lc, left, pre), stored only if it
+    survives, and the null barrier when theta0 is known; amortized O(1).  A
+    comparison divides at most once and reads the cached left mean; NaN
+    merges.  Given ``spec``, a stored newest gets its prefix bound as from
+    `maxima.attach_bounds`, else 0.0.  `bench._pop_steps` runs cascade and
+    barrier on the first three record fields in their up form: a down state
+    there sees -g, and a comparison times sign here is the same comparison
+    on negated sums.  Change both.  Returns the strongest detection (None
+    without one), the curves the walks evaluated and the curves stored.
     """
+    if threshold is not None and not threshold > 0:
+        raise ValueError("threshold must be positive")
     first = states[0]
     T = first.total_count + 1
     St = first.total_sum + g
@@ -137,7 +153,29 @@ def _absorb(states: list[PruneState], g: float, spec: FamilySpec | None) -> int:
             state.bounded += 1
         else:
             recs.append((lt, lc, left, pre, 0.0))
-    return stored
+    detection, evals = None, 0
+    # with theta0 unknown the statistic needs at least one point on each
+    # side of a split, so T < 2 can never detect
+    if threshold is None or (T < 2 and first.theta0 is None):
+        return detection, evals, stored
+    for state in states:
+        g_seg = state.newest_mean  # the newest candidate's, cached
+        n = 0
+        for tau, cs, _, pre, bound in reversed(state.records):
+            m = curve_m(state, spec, tau, cs, T, St, term, pre, g_seg)
+            g_seg = None
+            n += 1
+            if 2.0 * (m + bound) < threshold:
+                break
+            if 2.0 * m >= threshold:
+                if detection is None or 2.0 * m > detection.stat:
+                    detection = Detection(T, tau, 2.0 * m, state.direction)
+                break
+        state.evaluated += n
+        if state.theta0 is None:  # then n > 0: there is no barrier to empty the records
+            state.pooled += 1
+        evals += n
+    return detection, evals, stored
 
 
 def curve_m(state: PruneState, spec: FamilySpec, tau: int, cum_sum: float, T: int, St: float,

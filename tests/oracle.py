@@ -5,8 +5,8 @@ enumeration on raw prefix sums.  It shares the family closed forms but none
 of the pruned bookkeeping, so it stays an independent check of the streaming
 implementation.  O(T) per call; meant for desk-scale data only.  The two
 exceptions are references that the library's fused or batched forms must
-equal bit for bit: `layered_step_states`, `detector.step_states` as calls of
-`update`, `attach_bounds` and `check`, and `scalar_running_max`, the
+equal bit for bit: `layered_step_states`, the step kernel `step_states` as
+calls of `update`, `attach_bounds` and `check`, and `scalar_running_max`, the
 step-by-step form of `bench.stat_running_max`.
 """
 
@@ -201,7 +201,7 @@ def scalar_running_max(config: DetectorConfig, data) -> np.ndarray:
 
 
 def layered_step_states(states, spec: FamilySpec, g: float, threshold: float | None):
-    """`detector.step_states` through the public layers: `update` and
+    """`pruning.step_states` through the public layers: `update` and
     `attach_bounds` on every state, then `check` on every state when
     ``threshold`` is given and the statistic is defined.  The curves stored
     are counted from the records."""

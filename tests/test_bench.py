@@ -314,7 +314,7 @@ def test_pop_steps_merge_on_nan_comparisons(theta0, direction):
 def test_pop_steps_barrier_at_an_infinite_null_mean():
     # gamma(2) at theta0 = 1e308 has g0 = 2 theta0 = inf.  Once the prefix
     # sum overflows, a segment mean inf is not at or behind g0 in
-    # `_absorb`'s barrier (inf - inf is NaN), so the candidate stays; the
+    # `step_states`' barrier (inf - inf is NaN), so the candidate stays; the
     # shorter test inf <= g0 would drop it in both directions
     cfg = DetectorConfig(FamilySpec.gamma(2.0), 1e308, 1.0, "both")
     g = [1.0, 1e308, 1e308, 1e308, 1.0]
@@ -581,8 +581,8 @@ def test_kernels_where_stored_pairs_are_behind_their_pre_change_mean():
                           "at rounding-noise statistics; step 1c of item 1 rewrites the statistic")
 def test_walk_fires_where_the_path_crosses_at_rounding_noise():
     # at step 11 the newest candidate's m = 7.1e-15 and prefix bound 0.0 stop
-    # `maxima._walk` at 2(m + bound) = 1.42e-14, below an older candidate's
-    # 2m = 2.84e-14, so at that threshold `first_detection` never fires
+    # the walk of `step_states` at 2(m + bound) = 1.42e-14, below an older
+    # candidate's 2m = 2.84e-14, so at that threshold `first_detection` never fires
     cfg = DetectorConfig(GM, None, 2.842170943040401e-14, "up")
     path = stat_running_max(cfg, -NEAR_THREE)
     assert int(np.argmax(path >= cfg.threshold)) + 1 == 11

@@ -1,14 +1,15 @@
 """The fused step kernel against its layered reference, step by step.
 
-`detector.step_states` runs `pruning._absorb` and `maxima._walk`;
-`oracle.layered_step_states` runs the public `update`, `attach_bounds` and
-`check` they replace.  Both are driven on twin states, and after every step
-the detection, the curves evaluated and stored and the whole state must be
-equal bit for bit: every field of every record, (tau, cum_sum, left_mean,
-pre_term, m_bound), the totals, the state's cached (newest_mean,
-total_term) and the four tallies the counters derive from.  Both paths
-share that derivation; `tests/test_counters.py` checks the counts from
-outside.  The drawn streams are those of `tests/test_differential.py`:
+`pruning.step_states` absorbs and walks every direction state in one
+function; `oracle.layered_step_states` runs the public `update`,
+`attach_bounds` and `check` that do the same in layers.  Both are driven
+on twin states, and so is `Detector.step`, which calls the kernel and
+which the benchmark times; after every step the detection, the curves
+evaluated and stored and the whole state must be equal bit for bit:
+every field of every record, (tau, cum_sum, left_mean, pre_term,
+m_bound), the totals, the state's cached (newest_mean, total_term) and
+the four tallies the counters derive from.  All paths share that
+derivation; `tests/test_counters.py` checks the counts from outside.  The drawn streams are those of `tests/test_differential.py`:
 magnitudes up to 1e308, so that prefix sums overflow and segment means
 become inf or NaN, and integers past 2**53 with ties.
 """
@@ -24,6 +25,7 @@ from streamcpd import (
     DegenerateSegmentError,
     Detector,
     DetectorConfig,
+    Direction,
     FamilySpec,
     Scenario,
     StreamCpdError,
@@ -62,30 +64,41 @@ def outcome(detection, evals, stored):
     return (detection.t_detect, detection.tau_low, bits(detection.stat), detection.direction_hit), evals, stored
 
 
-def stepped(step, states, spec, g, threshold, raises):
-    """``step``'s outcome, or the class and message of the error it raised
-    if that is one of ``raises``."""
+def stepped(raises, step, *args):
+    """``step(*args)``'s outcome, or the class and message of the error it
+    raised if that is one of ``raises``."""
     try:
-        return outcome(*step(states, spec, g, threshold))
+        return outcome(*step(*args))
     except raises as e:
         return type(e), str(e)
 
 
+def detector_step(detector, x):
+    """`Detector.step` as the kernel's (detection, curves evaluated, curves stored)."""
+    res = detector.step(x)
+    return res.detection, res.curves_evaluated, res.curves_stored
+
+
 def run_both(spec, theta0, direction, threshold, data, raises=()):
-    """Feed ``data`` to the kernel and the reference on twin states,
-    comparing after every step; returns the detections seen.  An error of
-    a class in ``raises`` must come from both at one step, with one
-    message and equal states, and ends the run."""
+    """Feed ``data`` to the kernel and the reference on twin states, and to
+    a `Detector` if there is a threshold, comparing after every step;
+    returns the detections seen.  An error of a class in ``raises`` must
+    come from all at one step, with one message and equal states, and
+    ends the run."""
     fused = Detector(DetectorConfig(spec, theta0, 1.0, direction)).states
     layered = Detector(DetectorConfig(spec, theta0, 1.0, direction)).states
+    detector = None if threshold is None else Detector(DetectorConfig(spec, theta0, threshold, direction))
     hits = 0
     for x in data:
         g = spec.suff(x)
-        got, want = (stepped(step, states, spec, g, threshold, raises)
+        got, want = (stepped(raises, step, states, spec, g, threshold)
                      for step, states in ((step_states, fused), (layered_step_states, layered)))
         assert got == want
         assert snapshot(fused) == snapshot(layered)
-        if len(got) == 2:  # both raised
+        if detector is not None:
+            assert stepped(raises, detector_step, detector, x) == want
+            assert snapshot(detector.states) == snapshot(layered)
+        if len(got) == 2:  # all raised
             break
         hits += got[0] is not None
     return hits
@@ -130,6 +143,16 @@ NAN_STREAMS = [
 def test_kernel_equals_layers_on_overflowing_means(theta0, direction, threshold):
     for xs in NAN_STREAMS:
         run_both(FamilySpec.gauss_mean(), theta0, direction, threshold, xs)
+
+
+def test_kernel_equals_layers_on_a_tie_between_directions():
+    # at step 4 both walks hit with 2m = 1.0 exactly, down on the whole
+    # stream (mean -0.5 over 4 steps) and up on the newest step: the first
+    # state, up, keeps the detection
+    run_both(FamilySpec.gauss_mean(), 0.0, "both", 1.0, [-1.0, -1.0, -1.0, 1.0])
+    det = Detector(DetectorConfig(FamilySpec.gauss_mean(), 0.0, 1.0, "both"))
+    last = [det.step(x) for x in (-1.0, -1.0, -1.0, 1.0)][-1].detection
+    assert (last.tau_low, last.stat, last.direction_hit) == (3, 1.0, Direction.UP)
 
 
 @settings(max_examples=80, deadline=None)
